@@ -7,6 +7,7 @@ machine-readable JSON object on stderr; validation findings exit 1.
 """
 
 import argparse
+import csv
 import json
 import sys
 from pathlib import Path
@@ -17,7 +18,7 @@ from . import economy as econ
 from . import features as feats
 from . import ingest as ing
 from . import ledger
-from .errors import ModeRequiresSecrets, RingtraceError
+from .errors import DegenerateLabels, ModeRequiresSecrets, RingtraceError
 from .ml import ModelSpec, SearchSpec, group_task, save_report, spoof_task, value_task
 from .rng import Rng
 
@@ -51,7 +52,9 @@ def _write_manifest(out_dir: Path, command: str, parameters: dict) -> None:
         json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def _require_file(path: str, what: str) -> Path:
+def _require_file(path: str | None, what: str) -> Path:
+    if path is None:
+        raise CliError(f"{what} not given")
     p = Path(path)
     if not p.is_file():
         raise CliError(f"{what} not found: {path}")
@@ -125,8 +128,7 @@ def cmd_featurize(args) -> int:
         raise ModeRequiresSecrets("true edges need --ground-truth chain.json")
 
     out = Path(args.out)
-    fm = feats.featurize_chain(pub, include_coinbase=args.include_coinbase,
-                               jobs=args.jobs)
+    fm = feats.featurize_chain(pub, include_coinbase=args.include_coinbase)
     feats.write_feature_matrix(fm, out)
     feats.write_candidates(feats.candidate_table(pub), out / "candidates.csv")
     try:
@@ -156,25 +158,35 @@ def cmd_featurize(args) -> int:
     return 0
 
 
-def _read_label_column(path: Path, column: str) -> dict[int, int]:
-    import csv as _csv
-    out = {}
+def _csv_rows(path: Path, columns: tuple[str, ...]) -> list[dict[str, str]]:
+    """Rows of a CSV file as dicts, after checking the header has `columns`."""
     with path.open() as fh:
-        reader = _csv.DictReader(fh)
-        if column not in (reader.fieldnames or []):
-            raise CliError(f"labels file lacks column {column!r}")
-        for row in reader:
-            out[int(row["tx_id"])] = int(row[column])
-    return out
+        reader = csv.DictReader(fh)
+        for column in columns:
+            if column not in (reader.fieldnames or []):
+                raise CliError(f"{path} lacks column {column!r}")
+        return list(reader)
+
+
+def _read_label_column(path: Path, column: str) -> dict[int, int]:
+    return {int(row["tx_id"]): int(row[column])
+            for row in _csv_rows(path, ("tx_id", column))}
+
+
+def _labels_for(path: Path, column: str, tx_ids: list[int]) -> list[int]:
+    """`column` of labels.csv in `tx_ids` order; every tx_id needs a row."""
+    label_of = _read_label_column(path, column)
+    missing = [t for t in tx_ids if t not in label_of]
+    if missing:
+        raise CliError(f"{path} has no row for tx_id {missing[0]}")
+    return [label_of[t] for t in tx_ids]
 
 
 def _read_real_indices(path: Path) -> dict[int, list[int]]:
-    import csv as _csv
     acc: dict[int, dict[int, int]] = {}
-    with path.open() as fh:
-        for row in _csv.DictReader(fh):
-            acc.setdefault(int(row["tx_id"]), {})[
-                int(row["ring_index_within_tx"])] = int(row["real_index"])
+    for row in _csv_rows(path, ("tx_id", "ring_index_within_tx", "real_index")):
+        acc.setdefault(int(row["tx_id"]), {})[
+            int(row["ring_index_within_tx"])] = int(row["real_index"])
     return {tx: [rings[i] for i in sorted(rings)] for tx, rings in acc.items()}
 
 
@@ -190,19 +202,20 @@ def cmd_train(args) -> int:
     if args.task == "spoof":
         table = feats.read_candidates(
             _require_file(Path(args.features) / "candidates.csv", "candidates"))
-        real = _read_real_indices(_require_file(args.real_inputs, "real inputs"))
-        report = spoof_task(table, real, model_spec, search)
+        real_path = _require_file(args.real_inputs, "real inputs")
+        try:
+            report = spoof_task(table, _read_real_indices(real_path), model_spec,
+                                search)
+        except DegenerateLabels as err:
+            raise DegenerateLabels(f"{real_path}: {err}") from err
     else:
         fm = feats.read_feature_matrix(Path(args.features))
+        labels = _require_file(args.labels, "labels")
         if args.task == "group":
-            label_of = _read_label_column(_require_file(args.labels, "labels"),
-                                          "receiver_pool")
-            y = np.array([label_of[t] for t in fm.tx_ids])
+            y = np.array(_labels_for(labels, "receiver_pool", fm.tx_ids))
             report = group_task(fm, y, model_spec, search)
         else:
-            label_of = _read_label_column(_require_file(args.labels, "labels"),
-                                          "value")
-            y = np.array([label_of[t] for t in fm.tx_ids], dtype=np.float64)
+            y = np.array(_labels_for(labels, "value", fm.tx_ids), dtype=np.float64)
             report = value_task(fm, y, model_spec, search)
 
     save_report(report, out)
@@ -290,7 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--correlation-binning", default="by_rank",
                    choices=["by_rank", "by_hour_of_day"])
     p.add_argument("--bins", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="recorded in the manifest only: featurization is "
+                        "single-threaded; --jobs bounds forest-training threads")
     p.set_defaults(func=cmd_featurize)
 
     p = sub.add_parser("train", help="train and evaluate one attack task")
@@ -305,7 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=1)
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="forest-training threads; never changes results")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 

@@ -41,8 +41,9 @@ class NoTwoRingTxs(RingtraceError):
     """Ring-pair correlation needs at least one two-ring transaction."""
 
 
-class DegenerateLabels(RingtraceError):
-    """Classification task received fewer than two classes."""
+class DegenerateLabels(RingtraceError, ValueError):
+    """Labels cannot train the task: fewer than two classes, or a spoof ring
+    without exactly one real candidate."""
 
 
 class Diverged(RingtraceError):
@@ -65,7 +66,7 @@ class TooFewSamples(RingtraceError):
 
 
 class SchemaError(RingtraceError):
-    """External dump violates the documented schema."""
+    """An external dump or a feature CSV violates its documented layout."""
 
     def __init__(self, message: str, record: int | None = None, field: str | None = None):
         self.record = record

@@ -4,18 +4,17 @@ Everything here is a pure function of the adversary-visible projection: 7
 intrinsic features per transaction, plus 175 aggregates over the transactions
 that created its ring members (5 within-ring statistics crossed with 5
 across-ring statistics for each base feature).  Feature rows never depend on
-storage order, so extraction parallelizes freely.
+storage order.
 """
 
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyChain, NoRings, NoTwoRingTxs
+from .errors import EmptyChain, NoRings, NoTwoRingTxs, SchemaError
 from .ledger import TRANSFER, PublicChain, PublicTx
 
 FORMAT_VERSION = 1
@@ -146,14 +145,12 @@ def invert_normalization(normalized: np.ndarray, means: np.ndarray,
     return normalized * stds + means
 
 
-def featurize_chain(chain: PublicChain, include_coinbase: bool = False,
-                    jobs: int = 1) -> FeatureMatrix:
+def featurize_chain(chain: PublicChain, include_coinbase: bool = False) -> FeatureMatrix:
     """Full 182-column matrix over transfer rows (coinbase rows optional).
 
     Rows are ordered by tx_id.  Coinbase rows, when requested, zero-fill the
-    one-hop block.  Worker count never changes the result: rows are pure
-    per-transaction functions and the Z-statistics are a single fixed-order
-    pass at the end.
+    one-hop block.  Rows are pure per-transaction functions and the
+    Z-statistics are a single fixed-order pass at the end.
     """
     tx_ids = sorted(
         t for t, tx in chain.transactions.items()
@@ -168,12 +165,7 @@ def featurize_chain(chain: PublicChain, include_coinbase: bool = False,
         oh = one_hop(tx, chain) if tx.rings else np.zeros(175, dtype=np.float64)
         return np.concatenate([zh, oh])
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(row, tx_ids))
-    else:
-        rows = [row(t) for t in tx_ids]
-    raw = np.stack(rows)
+    raw = np.stack([row(t) for t in tx_ids])
     cov = np.array([ring_coverage(chain.transactions[t], chain) for t in tx_ids])
     normalized, means, stds = normalize_columns(raw)
     return FeatureMatrix(tx_ids=tx_ids, names=FEATURE_NAMES, raw=raw,
@@ -217,7 +209,7 @@ class CandidateTable:
     raw: np.ndarray
 
 
-def candidate_table(chain: PublicChain, jobs: int = 1) -> CandidateTable:
+def candidate_table(chain: PublicChain) -> CandidateTable:
     cache: dict[int, np.ndarray] = {}
     keys: list[tuple[int, int, int]] = []
     blocks: list[np.ndarray] = []
@@ -346,31 +338,41 @@ def write_feature_matrix(fm: FeatureMatrix, out_dir: Path,
     return paths
 
 
+def _load_csv(path: Path, keys: tuple[str, ...], names: tuple[str, ...] | None = None):
+    """Parse a numeric CSV in one np.loadtxt pass.
+
+    `keys` are the leading integer columns; `names` picks the value columns by
+    header name (default: every column after the keys), so trailing extras
+    such as coverage are skipped.  Returns the key rows as int lists, the
+    C-contiguous value matrix and the value column names.
+    """
+    path = Path(path)
+    with path.open() as fh:
+        header = next(csv.reader(fh), [])
+        for i, key in enumerate(keys):
+            if header[i:i + 1] != [key]:
+                raise SchemaError(f"{path}: column {i} must be {key!r}", field=key)
+        if names is None:
+            names = tuple(header[len(keys):])
+        missing = [n for n in names if n not in header]
+        if missing:
+            raise SchemaError(f"{path}: missing column", field=missing[0])
+        cols = list(range(len(keys))) + [header.index(n) for n in names]
+        data = np.loadtxt(fh, delimiter=",", usecols=cols, ndmin=2)
+    key_rows = data[:, :len(keys)].astype(np.int64).tolist()
+    return key_rows, np.ascontiguousarray(data[:, len(keys):]), names
+
+
 def read_feature_matrix(out_dir: Path) -> FeatureMatrix:
     out_dir = Path(out_dir)
     stats = json.loads((out_dir / "norm_stats.json").read_text())
     names = tuple(c["name"] for c in stats["columns"])
     means = np.array([c["mean"] for c in stats["columns"]])
     stds = np.array([c["std"] for c in stats["columns"]])
-
-    def load(fname):
-        with (out_dir / fname).open() as fh:
-            r = csv.reader(fh)
-            header = next(r)
-            assert header[0] == "tx_id"
-            # select exactly the contracted columns; trailing extras such as
-            # coverage are not part of the matrix
-            cols = [header.index(n) for n in names]
-            ids, rows = [], []
-            for line in r:
-                ids.append(int(line[0]))
-                rows.append([float(line[c]) for c in cols])
-        return ids, np.array(rows)
-
-    tx_ids, raw = load("features_raw.csv")
-    _, normalized = load("features.csv")
-    return FeatureMatrix(tx_ids=tx_ids, names=names, raw=raw, normalized=normalized,
-                         norm_means=means, norm_stds=stds)
+    ids, raw, _ = _load_csv(out_dir / "features_raw.csv", ("tx_id",), names)
+    _, normalized, _ = _load_csv(out_dir / "features.csv", ("tx_id",), names)
+    return FeatureMatrix(tx_ids=[i for i, in ids], names=names, raw=raw,
+                         normalized=normalized, norm_means=means, norm_stds=stds)
 
 
 def write_candidates(table: CandidateTable, path: Path) -> None:
@@ -381,15 +383,8 @@ def write_candidates(table: CandidateTable, path: Path) -> None:
 
 
 def read_candidates(path: Path) -> CandidateTable:
-    with Path(path).open() as fh:
-        r = csv.reader(fh)
-        header = next(r)
-        names = tuple(header[3:])
-        keys, rows = [], []
-        for line in r:
-            keys.append((int(line[0]), int(line[1]), int(line[2])))
-            rows.append([float(v) for v in line[3:]])
-    return CandidateTable(keys=keys, names=names, raw=np.array(rows))
+    keys, raw, names = _load_csv(path, ("tx_id", "ring_index", "candidate_index"))
+    return CandidateTable(keys=[tuple(k) for k in keys], names=names, raw=raw)
 
 
 def write_correlation(mat: RingCorrelationMatrix, path: Path) -> None:

@@ -19,8 +19,10 @@ import numpy as np
 from .errors import DegenerateLabels, SchemaError
 from .features import FeatureMatrix, featurize_chain
 from .ledger import PublicChain, PublicOutput, PublicTx
-from .ml.crossval import ModelSpec, SearchSpec, fit_model, kfold_eval, random_search
-from .ml.tasks import ModelReport, _normalize_full, _ranked_importances
+from .ml.crossval import ModelSpec, SearchSpec
+# not called here: perfbench/spans.py traces ingest runs through these names
+from .ml.crossval import fit_model, kfold_eval  # noqa: F401
+from .ml.tasks import ModelReport, search_fit_rank
 
 FORMAT_VERSION = 1
 
@@ -280,20 +282,8 @@ def external_pipeline(parsed: ParsedDump, labels: dict[str, str],
     if np.unique(y).size < 2:
         raise DegenerateLabels("need both labeled and unlabeled transactions")
 
-    if search.budget > 1:
-        res = random_search(model_spec, fm.raw, y, search)
-        best_params, result, trials = res["best_params"], res["best_result"], res["trials"]
-    else:
-        result = kfold_eval(model_spec, fm.raw, y, folds=search.folds,
-                            seed=search.seed)
-        best_params, trials = dict(model_spec.params), []
-
-    importances = None
-    if model_spec.family == "forest":
-        final_spec = ModelSpec("forest", "classify", dict(best_params),
-                               model_spec.class_weight)
-        final = fit_model(final_spec, _normalize_full(fm.raw), y, seed=search.seed)
-        importances = _ranked_importances(final, fm.names)
+    best_params, result, trials, importances = search_fit_rank(
+        model_spec, fm, y, search)
 
     report = ModelReport(
         task="external_label", model_family=model_spec.family,

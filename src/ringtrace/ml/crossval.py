@@ -10,6 +10,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..errors import Diverged, TooFewSamples
+from ..features import apply_normalization, normalize_columns
 from .forest import ForestHyperParams, train_forest
 from .linear import LinearEpsHyperParams, train_linear_epsilon
 from .metrics import accuracy, precision_recall, r_squared
@@ -79,19 +80,6 @@ def contiguous_shuffle_folds(n: int, folds: int, seed: int) -> list[np.ndarray]:
     return [np.sort(chunk) for chunk in np.array_split(perm, folds)]
 
 
-def _fold_normalize(X_train: np.ndarray, X_test: np.ndarray):
-    mean = X_train.mean(axis=0)
-    mean = mean + (X_train - mean).mean(axis=0)
-    centered = X_train - mean
-    std = np.sqrt((centered * centered).mean(axis=0))
-    nz = std > 0
-    tr = np.zeros_like(X_train)
-    te = np.zeros_like(X_test)
-    tr[:, nz] = centered[:, nz] / std[nz]
-    te[:, nz] = (X_test[:, nz] - mean[nz]) / std[nz]
-    return tr, te
-
-
 def kfold_eval(model_spec: ModelSpec, X: np.ndarray, y: np.ndarray,
                folds: int = 5, seed: int = 0, groups: np.ndarray | None = None,
                evaluate=None) -> dict:
@@ -122,7 +110,8 @@ def kfold_eval(model_spec: ModelSpec, X: np.ndarray, y: np.ndarray,
     fold_rows = []
     for k, test_idx in enumerate(test_sets):
         train_idx = np.setdiff1d(np.arange(n), test_idx, assume_unique=False)
-        X_tr, X_te = _fold_normalize(X[train_idx], X[test_idx])
+        X_tr, means, stds = normalize_columns(X[train_idx])
+        X_te = apply_normalization(X[test_idx], means, stds)
         y_tr, y_te = y[train_idx], y[test_idx]
         model = fit_model(model_spec, X_tr, y_tr, seed=_derive_seed(seed, 11, k))
         row: dict = {"fold": k, "n_train": int(train_idx.size),

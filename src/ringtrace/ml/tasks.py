@@ -7,13 +7,13 @@ model exposes one.
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from ..errors import ConstantTarget, DegenerateLabels
-from ..features import CandidateTable, FeatureMatrix
+from ..features import CandidateTable, FeatureMatrix, normalize_columns
 from .crossval import ModelSpec, SearchSpec, fit_model, kfold_eval, random_search
 from .forest import feature_importance
 
@@ -68,16 +68,6 @@ def _ranked_importances(model, names) -> list | None:
     return [(names[i], float(weights[i])) for i in order]
 
 
-def _normalize_full(raw: np.ndarray) -> np.ndarray:
-    mean = raw.mean(axis=0)
-    centered = raw - mean
-    std = np.sqrt((centered * centered).mean(axis=0))
-    out = np.zeros_like(raw)
-    nz = std > 0
-    out[:, nz] = centered[:, nz] / std[nz]
-    return out
-
-
 def _resolve(model_spec: ModelSpec, X, y, search: SearchSpec,
              groups=None, evaluate=None) -> tuple[dict, dict, list]:
     """Run the search when budgeted, else a single k-fold evaluation."""
@@ -88,6 +78,23 @@ def _resolve(model_spec: ModelSpec, X, y, search: SearchSpec,
     result = kfold_eval(model_spec, X, y, folds=search.folds, seed=search.seed,
                         groups=groups, evaluate=evaluate)
     return dict(model_spec.params), result, []
+
+
+def search_fit_rank(model_spec: ModelSpec, fm: FeatureMatrix, y,
+                    search: SearchSpec) -> tuple[dict, dict, list, list | None]:
+    """Search (or one k-fold pass) on `fm.raw`, then rank a forest fit on all rows.
+
+    The final fit's input is recomputed from `fm.raw` with the fold transform
+    (what features.csv stores), so a matrix whose raw columns were replaced
+    stays consistent.  Importances are None for non-forest families.
+    """
+    best_params, result, trials = _resolve(model_spec, fm.raw, y, search)
+    importances = None
+    if model_spec.family == "forest":
+        final = fit_model(replace(model_spec, params=best_params),
+                          normalize_columns(fm.raw)[0], y, seed=search.seed)
+        importances = _ranked_importances(final, fm.names)
+    return best_params, result, trials, importances
 
 
 # Spoofed/real input recovery -------------------------------------------------
@@ -112,13 +119,15 @@ def spoof_task(table: CandidateTable, real_indices: dict[int, list[int]],
     ring_ids = np.empty(len(keys), dtype=np.int64)
     for i, (tx_id, ring_i, _cand) in enumerate(keys):
         ring_ids[i] = ring_key.setdefault((tx_id, ring_i), len(ring_key))
-    y = np.array(
-        [1 if cand == real_indices[tx_id][ring_i] else 0
-         for tx_id, ring_i, cand in keys],
-        dtype=np.int64,
-    )
-    if y.sum() != len(ring_key):
-        raise ValueError("each ring must have exactly one real candidate")
+    real_of = {(tx_id, ring_i): real for tx_id, reals in real_indices.items()
+               for ring_i, real in enumerate(reals)}
+    y = np.array([int(real_of.get((tx_id, ring_i)) == cand)
+                  for tx_id, ring_i, cand in keys], dtype=np.int64)
+    found = np.bincount(ring_ids, weights=y, minlength=len(ring_key))
+    if (found != 1).any():
+        tx_id, ring_i = list(ring_key)[int(np.argmin(found))]
+        raise DegenerateLabels(f"no real candidate for tx_id {tx_id} ring {ring_i};"
+                               " each ring must have exactly one")
 
     # ring row spans, in candidate-index order
     spans: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * len(ring_key)
@@ -182,15 +191,8 @@ def group_task(fm: FeatureMatrix, labels: np.ndarray,
     model_spec = model_spec or ModelSpec("forest", "classify")
     search = search or SearchSpec(metric="accuracy")
 
-    best_params, result, trials = _resolve(model_spec, fm.raw, labels, search)
-
-    importances = None
-    if model_spec.family == "forest":
-        final_spec = ModelSpec(model_spec.family, "classify", dict(best_params),
-                               model_spec.class_weight)
-        final = fit_model(final_spec, _normalize_full(fm.raw), labels,
-                          seed=search.seed)
-        importances = _ranked_importances(final, fm.names)
+    best_params, result, trials, importances = search_fit_rank(
+        model_spec, fm, labels, search)
 
     return ModelReport(
         task="group", model_family=model_spec.family, best_params=best_params,
@@ -213,15 +215,8 @@ def value_task(fm: FeatureMatrix, targets: np.ndarray,
     model_spec = model_spec or ModelSpec("forest", "regress")
     search = search or SearchSpec(metric="r2")
 
-    best_params, result, trials = _resolve(model_spec, fm.raw, targets, search)
-
-    importances = None
-    if model_spec.family == "forest":
-        final_spec = ModelSpec(model_spec.family, "regress", dict(best_params),
-                               None)
-        final = fit_model(final_spec, _normalize_full(fm.raw), targets,
-                          seed=search.seed)
-        importances = _ranked_importances(final, fm.names)
+    best_params, result, trials, importances = search_fit_rank(
+        model_spec, fm, targets, search)
 
     baseline = {
         "r2_test": result["summary"]["baseline_r2"]["mean"],

@@ -155,6 +155,52 @@ def test_train_budget_zero_exit_2(workdir, tmp_path, capsys):
     assert "budget" in json.loads(capsys.readouterr().err)["message"]
 
 
+def _train_error(workdir, tmp_path, capsys, task, **files):
+    argv = ["train", "--features", str(workdir / "fx"), "--task", task,
+            "--folds", "2", "--out", str(tmp_path / "t")]
+    for flag, path in files.items():
+        argv += [f"--{flag.replace('_', '-')}", str(path)]
+    assert main(argv) == 2
+    return json.loads(capsys.readouterr().err)
+
+
+def test_train_labels_missing_tx_exit_2(workdir, tmp_path, capsys):
+    lines = (workdir / "sim" / "labels.csv").read_text().splitlines()
+    dropped = lines[1].split(",")[0]
+    path = tmp_path / "labels.csv"
+    path.write_text("\n".join(lines[:1] + lines[2:]) + "\n")
+    err = _train_error(workdir, tmp_path, capsys, "value", labels=path)
+    assert err["error"] == "CliError"
+    assert str(path) in err["message"] and f"tx_id {dropped}" in err["message"]
+
+
+def test_train_real_inputs_missing_column_or_tx_exit_2(workdir, tmp_path, capsys):
+    lines = (workdir / "sim" / "real_inputs.csv").read_text().splitlines()
+    path = tmp_path / "real_inputs.csv"
+    path.write_text(lines[0].replace("real_index", "index") + "\n")
+    err = _train_error(workdir, tmp_path, capsys, "spoof", real_inputs=path)
+    assert str(path) in err["message"] and "'real_index'" in err["message"]
+    # every row of the first transaction dropped
+    first = lines[1].split(",")[0]
+    path.write_text("\n".join(line for line in lines
+                               if line.split(",")[0] != first) + "\n")
+    err = _train_error(workdir, tmp_path, capsys, "spoof", real_inputs=path)
+    assert err["error"] == "DegenerateLabels"
+    assert str(path) in err["message"] and f"tx_id {first} " in err["message"]
+
+
+def test_train_real_index_outside_ring_exit_2(workdir, tmp_path, capsys):
+    lines = (workdir / "sim" / "real_inputs.csv").read_text().splitlines()
+    col = lines[0].split(",").index("real_index")
+    row = lines[1].split(",")
+    row[col] = "999"
+    path = tmp_path / "real_inputs.csv"
+    path.write_text("\n".join([lines[0], ",".join(row)] + lines[2:]) + "\n")
+    err = _train_error(workdir, tmp_path, capsys, "spoof", real_inputs=path)
+    assert err["error"] == "DegenerateLabels"
+    assert str(path) in err["message"] and f"tx_id {row[0]} " in err["message"]
+
+
 def test_ingest_command(workdir, tmp_path):
     from ringtrace.ingest import export_dump
     from ringtrace.ledger import load_public_chain

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from ringtrace.errors import TooFewSamples
+from ringtrace.features import apply_normalization, normalize_columns
 from ringtrace.ml import (
     ModelSpec,
     SearchSpec,
@@ -66,15 +70,49 @@ def test_shuffled_labels_drop_to_chance():
 def test_normalization_fit_on_train_only():
     # mutation oracle: corrupting the held-out rows must not move the
     # transform, which is fit on train rows alone
-    from ringtrace.ml.crossval import _fold_normalize
     rng = np.random.default_rng(6)
     X_train = rng.normal(size=(50, 4))
     X_test = rng.normal(size=(10, 4))
-    tr1, te1 = _fold_normalize(X_train, X_test)
-    tr2, te2 = _fold_normalize(X_train, X_test + 1e9)
-    assert np.array_equal(tr1, tr2)
+    _, means, stds = normalize_columns(X_train)
+    te1 = apply_normalization(X_test, means, stds)
+    te2 = apply_normalization(X_test + 1e9, means, stds)
     shift = (te2 - te1).mean(axis=0)
     assert np.allclose(shift * X_train.std(axis=0), 1e9, rtol=1e-6)
+
+    # kfold_eval hands each fold's model its test rows under the train rows'
+    # transform: corrupting fold 0's test rows shifts them and nothing else
+    X, y = np.vstack([X_train, X_test]), np.arange(60) % 2
+    spec = ModelSpec("forest", "classify", {"n_trees": 2, "max_depth": 2})
+
+    def fold_inputs(X_run):
+        seen = []
+
+        def evaluate(model, X_te, y_te, test_idx):
+            seen.append((test_idx, X_te))
+            return {}
+
+        kfold_eval(spec, X_run, y, folds=3, seed=6, evaluate=evaluate)
+        return seen
+
+    test0, clean_te = fold_inputs(X)[0]
+    corrupted = X.copy()
+    corrupted[test0] += 1e9
+    _, m, s = normalize_columns(np.delete(X, test0, axis=0))
+    assert np.array_equal(clean_te, apply_normalization(X[test0], m, s))
+    assert np.array_equal(fold_inputs(corrupted)[0][1],
+                          apply_normalization(X[test0] + 1e9, m, s))
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=12),
+              elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_apply_normalization_reproduces_fit_bit_for_bit(X):
+    # the one normalizer: applying a matrix's own statistics gives back the
+    # fitted transform exactly, so train and test rows share one arithmetic
+    with np.errstate(all="ignore"):
+        fitted, means, stds = normalize_columns(X)
+        applied = apply_normalization(X, means, stds)
+    assert np.array_equal(fitted.view(np.uint64), applied.view(np.uint64))
 
 
 def test_regression_reports_baseline():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ringtrace.economy import gen_economy, run_simulation
-from ringtrace.errors import EmptyChain, NoRings, NoTwoRingTxs
+from ringtrace.errors import EmptyChain, NoRings, NoTwoRingTxs, SchemaError
 from ringtrace.features import (
     CANDIDATE_NAMES,
     FEATURE_NAMES,
@@ -18,7 +18,11 @@ from ringtrace.features import (
     featurize_chain,
     invert_normalization,
     one_hop,
+    read_candidates,
+    read_feature_matrix,
     ring_pair_correlation,
+    write_candidates,
+    write_feature_matrix,
     zero_hop,
 )
 from ringtrace.ledger import PublicChain, PublicOutput, PublicTx, public_view
@@ -222,13 +226,6 @@ def test_block_order_does_not_matter(sim_public):
     assert np.array_equal(fm1.raw, fm2.raw)
 
 
-def test_featurize_jobs_identical(sim_public):
-    fm1 = featurize_chain(sim_public, jobs=1)
-    fm2 = featurize_chain(sim_public, jobs=4)
-    assert np.array_equal(fm1.raw, fm2.raw)
-    assert np.array_equal(fm1.normalized, fm2.normalized)
-
-
 def test_featurize_empty_chain():
     chain = build_public([5], [], [])
     with pytest.raises(EmptyChain):
@@ -323,3 +320,36 @@ def test_no_two_ring_txs():
     chain = build_public([10, 20], [[[0, 1]]], [100])
     with pytest.raises(NoTwoRingTxs):
         ring_pair_correlation(chain)
+
+
+# file round trips ----------------------------------------------------------------
+
+
+def test_feature_files_round_trip_bit_identical(sim_public, tmp_path):
+    fm = featurize_chain(sim_public)
+    write_feature_matrix(fm, tmp_path, include_coverage=True)
+    back = read_feature_matrix(tmp_path)  # skips the trailing coverage column
+    assert back.tx_ids == fm.tx_ids and back.names == fm.names
+    assert np.array_equal(back.raw, fm.raw)
+    assert np.array_equal(back.normalized, fm.normalized)
+    table = candidate_table(sim_public)
+    write_candidates(table, tmp_path / "candidates.csv")
+    back = read_candidates(tmp_path / "candidates.csv")
+    assert back.keys == table.keys and back.names == table.names
+    assert np.array_equal(back.raw, table.raw)
+
+
+def test_feature_csv_without_tx_id_is_schema_error(sim_public, tmp_path):
+    write_feature_matrix(featurize_chain(sim_public), tmp_path)
+    path = tmp_path / "features_raw.csv"
+    path.write_text("id" + path.read_text()[len("tx_id"):])
+    with pytest.raises(SchemaError, match="features_raw.csv") as err:
+        read_feature_matrix(tmp_path)
+    assert err.value.field == "tx_id"
+    table = candidate_table(sim_public)
+    write_candidates(table, tmp_path / "candidates.csv")
+    path = tmp_path / "candidates.csv"
+    path.write_text(path.read_text().replace("ring_index", "ring", 1))
+    with pytest.raises(SchemaError, match="candidates.csv") as err:
+        read_candidates(path)
+    assert err.value.field == "ring_index"

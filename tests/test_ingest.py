@@ -234,3 +234,21 @@ def test_pipeline_on_simulated_chain_matches_native(tmp_path):
     y = np.array([1 if hash_of[t] in labels else 0 for t in native.tx_ids])
     direct = kfold_eval(mspec, native.raw, y, folds=3, seed=15)
     assert direct["summary"] == report.summary
+
+
+def test_external_pipeline_matches_group_task():
+    # one runner: the dump path and the group task give the same report on
+    # the same matrix, labels and spec
+    from ringtrace.ml import group_task
+    records, labels = planted_dump(n=120, seed=6)
+    parsed = parse_dump(records)
+    spec = ModelSpec("forest", "classify", {"n_trees": 6, "max_depth": 4},
+                     class_weight="balanced")
+    search = SearchSpec(budget=1, folds=3, seed=6)
+    report, fm = external_pipeline(parsed, labels, spec, search)
+    y = np.array([int(parsed.hashes[t] in labels) for t in fm.tx_ids])
+    group = group_task(fm, y, spec, search)
+    assert report.folds == group.folds
+    assert report.summary == group.summary
+    assert report.feature_importances == group.feature_importances
+    assert report.feature_importances is not None
