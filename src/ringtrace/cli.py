@@ -7,7 +7,6 @@ machine-readable JSON object on stderr; validation findings exit 1.
 """
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -158,19 +157,9 @@ def cmd_featurize(args) -> int:
     return 0
 
 
-def _csv_rows(path: Path, columns: tuple[str, ...]) -> list[dict[str, str]]:
-    """Rows of a CSV file as dicts, after checking the header has `columns`."""
-    with path.open() as fh:
-        reader = csv.DictReader(fh)
-        for column in columns:
-            if column not in (reader.fieldnames or []):
-                raise CliError(f"{path} lacks column {column!r}")
-        return list(reader)
-
-
 def _read_label_column(path: Path, column: str) -> dict[int, int]:
-    return {int(row["tx_id"]): int(row[column])
-            for row in _csv_rows(path, ("tx_id", column))}
+    ids, values, _ = feats.load_csv(path, ("tx_id",), (column,), dtype=np.int64)
+    return dict(zip(ids[:, 0].tolist(), values[:, 0].tolist()))
 
 
 def _labels_for(path: Path, column: str, tx_ids: list[int]) -> list[int]:
@@ -183,10 +172,11 @@ def _labels_for(path: Path, column: str, tx_ids: list[int]) -> list[int]:
 
 
 def _read_real_indices(path: Path) -> dict[int, list[int]]:
+    rows, _, _ = feats.load_csv(path, ("tx_id", "ring_index_within_tx", "real_index"),
+                                (), dtype=np.int64)
     acc: dict[int, dict[int, int]] = {}
-    for row in _csv_rows(path, ("tx_id", "ring_index_within_tx", "real_index")):
-        acc.setdefault(int(row["tx_id"]), {})[
-            int(row["ring_index_within_tx"])] = int(row["real_index"])
+    for tx, ring, real in rows.tolist():
+        acc.setdefault(tx, {})[ring] = real
     return {tx: [rings[i] for i in sorted(rings)] for tx, rings in acc.items()}
 
 

@@ -7,7 +7,6 @@ than mainnet's two-minute cadence).
 """
 
 import csv
-import json
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
@@ -21,7 +20,15 @@ from .errors import (
     StalledWarning,
     UnknownScenario,
 )
-from .ledger import Chain, DecoyPolicy, PublicChain, apply_block, build_transaction
+from .ledger import (
+    Chain,
+    DecoyPolicy,
+    PublicChain,
+    apply_block,
+    build_transaction,
+    dump_json,
+    load_json,
+)
 from .rng import Rng
 
 FORMAT_VERSION = 1
@@ -465,11 +472,8 @@ def economy_from_dict(payload: dict) -> tuple[EconomySpec, EconomyFile]:
 
 
 def save_economy(spec: EconomySpec, files: EconomyFile, path: Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(economy_to_dict(spec, files), sort_keys=True,
-                               separators=(",", ":")) + "\n")
+    dump_json(economy_to_dict(spec, files), path)
 
 
 def load_economy(path: Path) -> tuple[EconomySpec, EconomyFile]:
-    return economy_from_dict(json.loads(Path(path).read_text()))
+    return economy_from_dict(load_json(path))

@@ -8,14 +8,14 @@ storage order.
 """
 
 import csv
-import json
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import EmptyChain, NoRings, NoTwoRingTxs, SchemaError
-from .ledger import TRANSFER, PublicChain, PublicTx
+from .ledger import TRANSFER, PublicChain, PublicTx, dump_json, load_json
 
 FORMAT_VERSION = 1
 
@@ -112,13 +112,22 @@ def ring_coverage(tx: PublicTx, chain: PublicChain) -> float:
 
 @dataclass
 class FeatureMatrix:
+    """Raw feature rows.  `normalized`, `norm_means` and `norm_stds` are
+    `normalize_columns(raw)`, computed on first use, so a
+    `dataclasses.replace(fm, raw=...)` never sees another matrix's transform."""
+
     tx_ids: list[int]
     names: tuple[str, ...]
     raw: np.ndarray
-    normalized: np.ndarray
-    norm_means: np.ndarray
-    norm_stds: np.ndarray
     coverage: np.ndarray | None = None
+
+    @functools.cached_property
+    def _normalization(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return normalize_columns(self.raw)
+
+    normalized = property(lambda self: self._normalization[0])
+    norm_means = property(lambda self: self._normalization[1])
+    norm_stds = property(lambda self: self._normalization[2])
 
 
 def normalize_columns(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -149,8 +158,7 @@ def featurize_chain(chain: PublicChain, include_coinbase: bool = False) -> Featu
     """Full 182-column matrix over transfer rows (coinbase rows optional).
 
     Rows are ordered by tx_id.  Coinbase rows, when requested, zero-fill the
-    one-hop block.  Rows are pure per-transaction functions and the
-    Z-statistics are a single fixed-order pass at the end.
+    one-hop block.  Rows are pure per-transaction functions.
     """
     tx_ids = sorted(
         t for t, tx in chain.transactions.items()
@@ -167,10 +175,7 @@ def featurize_chain(chain: PublicChain, include_coinbase: bool = False) -> Featu
 
     raw = np.stack([row(t) for t in tx_ids])
     cov = np.array([ring_coverage(chain.transactions[t], chain) for t in tx_ids])
-    normalized, means, stds = normalize_columns(raw)
-    return FeatureMatrix(tx_ids=tx_ids, names=FEATURE_NAMES, raw=raw,
-                         normalized=normalized, norm_means=means, norm_stds=stds,
-                         coverage=cov)
+    return FeatureMatrix(tx_ids=tx_ids, names=FEATURE_NAMES, raw=raw, coverage=cov)
 
 
 def candidate_features(tx: PublicTx, ring_index: int, chain: PublicChain,
@@ -332,47 +337,72 @@ def write_feature_matrix(fm: FeatureMatrix, out_dir: Path,
             for n, m, s in zip(fm.names, fm.norm_means, fm.norm_stds)
         ],
     }
-    sp = out_dir / "norm_stats.json"
-    sp.write_text(json.dumps(stats, sort_keys=True, separators=(",", ":")) + "\n")
-    paths["norm_stats.json"] = sp
+    paths["norm_stats.json"] = out_dir / "norm_stats.json"
+    dump_json(stats, paths["norm_stats.json"])
     return paths
 
 
-def _load_csv(path: Path, keys: tuple[str, ...], names: tuple[str, ...] | None = None):
-    """Parse a numeric CSV in one np.loadtxt pass.
+def load_csv(path: Path, keys: tuple[str, ...], names: tuple[str, ...] | None = None,
+             dtype=np.float64) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    """Parse a CSV input file in one np.loadtxt pass, checked against its header.
 
-    `keys` are the leading integer columns; `names` picks the value columns by
-    header name (default: every column after the keys), so trailing extras
-    such as coverage are skipped.  Returns the key rows as int lists, the
-    C-contiguous value matrix and the value column names.
+    `keys` must be the leading columns, in order; `names` picks the value
+    columns by header name (default: every column after the keys), so
+    trailing extras such as coverage are skipped.  Every cell read parses as
+    `dtype` (object keeps the text); blank lines are skipped.  A wrong
+    header or an unreadable cell raises SchemaError naming the file, the line
+    and the column.  Returns the key columns, the C-contiguous value matrix
+    and the value column names.
     """
     path = Path(path)
     with path.open() as fh:
         header = next(csv.reader(fh), [])
         for i, key in enumerate(keys):
             if header[i:i + 1] != [key]:
-                raise SchemaError(f"{path}: column {i} must be {key!r}", field=key)
+                raise SchemaError(f"{path}: line 1: column {i + 1} must be {key!r}",
+                                  field=key)
         if names is None:
             names = tuple(header[len(keys):])
         missing = [n for n in names if n not in header]
         if missing:
-            raise SchemaError(f"{path}: missing column", field=missing[0])
+            raise SchemaError(f"{path}: line 1: missing column", field=missing[0])
         cols = list(range(len(keys))) + [header.index(n) for n in names]
-        data = np.loadtxt(fh, delimiter=",", usecols=cols, ndmin=2)
-    key_rows = data[:, :len(keys)].astype(np.int64).tolist()
-    return key_rows, np.ascontiguousarray(data[:, len(keys):]), names
+        try:
+            data = np.loadtxt(fh, delimiter=",", usecols=cols, ndmin=2, dtype=dtype,
+                              comments=None, quotechar='"')
+        except ValueError as err:
+            # np.loadtxt numbers rows without blank lines; find the file line
+            raise (_bad_cell(path, header, cols, dtype)
+                   or SchemaError(f"{path}: {err}")) from None
+    return data[:, :len(keys)], np.ascontiguousarray(data[:, len(keys):]), names
+
+
+def _bad_cell(path: Path, header: list[str], cols: list[int], dtype) -> SchemaError | None:
+    """The error for the first cell in `cols` that does not parse as `dtype`."""
+    parse = {"f": float, "i": int}.get(np.dtype(dtype).kind, str)
+    with path.open() as fh:
+        rows = csv.reader(fh)
+        next(rows)
+        for row in filter(None, rows):  # blank lines hold no cells
+            for c in cols:
+                try:
+                    parse(row[c])
+                except (IndexError, ValueError):
+                    problem = (f"{row[c]!r} is not {np.dtype(dtype).name}"
+                               if c < len(row) else "no value")
+                    return SchemaError(f"{path}: line {rows.line_num}: {problem}",
+                                       field=header[c])
+    return None
 
 
 def read_feature_matrix(out_dir: Path) -> FeatureMatrix:
+    """features_raw.csv, with the column names of norm_stats.json."""
     out_dir = Path(out_dir)
-    stats = json.loads((out_dir / "norm_stats.json").read_text())
+    stats = load_json(out_dir / "norm_stats.json")
     names = tuple(c["name"] for c in stats["columns"])
-    means = np.array([c["mean"] for c in stats["columns"]])
-    stds = np.array([c["std"] for c in stats["columns"]])
-    ids, raw, _ = _load_csv(out_dir / "features_raw.csv", ("tx_id",), names)
-    _, normalized, _ = _load_csv(out_dir / "features.csv", ("tx_id",), names)
-    return FeatureMatrix(tx_ids=[i for i, in ids], names=names, raw=raw,
-                         normalized=normalized, norm_means=means, norm_stds=stds)
+    ids, raw, _ = load_csv(out_dir / "features_raw.csv", ("tx_id",), names)
+    return FeatureMatrix(tx_ids=ids[:, 0].astype(np.int64).tolist(), names=names,
+                         raw=raw)
 
 
 def write_candidates(table: CandidateTable, path: Path) -> None:
@@ -383,8 +413,9 @@ def write_candidates(table: CandidateTable, path: Path) -> None:
 
 
 def read_candidates(path: Path) -> CandidateTable:
-    keys, raw, names = _load_csv(path, ("tx_id", "ring_index", "candidate_index"))
-    return CandidateTable(keys=[tuple(k) for k in keys], names=names, raw=raw)
+    keys, raw, names = load_csv(path, ("tx_id", "ring_index", "candidate_index"))
+    return CandidateTable(keys=[tuple(k) for k in keys.astype(np.int64).tolist()],
+                          names=names, raw=raw)
 
 
 def write_correlation(mat: RingCorrelationMatrix, path: Path) -> None:

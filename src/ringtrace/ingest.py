@@ -8,8 +8,6 @@ outside the dump window stay as opaque members with zero-filled neighbor
 features and a per-row coverage fraction for filtering.
 """
 
-import csv
-import json
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateLabels, SchemaError
-from .features import FeatureMatrix, featurize_chain
-from .ledger import PublicChain, PublicOutput, PublicTx
+from .features import FeatureMatrix, featurize_chain, load_csv
+from .ledger import PublicChain, PublicOutput, PublicTx, dump_json, load_json
 from .ml.crossval import ModelSpec, SearchSpec
 # not called here: perfbench/spans.py traces ingest runs through these names
 from .ml.crossval import fit_model, kfold_eval  # noqa: F401
@@ -65,7 +63,7 @@ def parse_dump(path_or_payload) -> ParsedDump:
     index is structural.
     """
     if isinstance(path_or_payload, (str, Path)):
-        payload = json.loads(Path(path_or_payload).read_text())
+        payload = load_json(path_or_payload)
     else:
         payload = path_or_payload
     if isinstance(payload, dict):
@@ -207,10 +205,7 @@ def export_dump(pub: PublicChain, path: Path | None = None) -> dict:
         })
     payload = {"format_version": FORMAT_VERSION, "transactions": records}
     if path is not None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(payload, sort_keys=True,
-                                   separators=(",", ":")) + "\n")
+        dump_json(payload, path)
     return payload
 
 
@@ -219,21 +214,11 @@ def export_dump(pub: PublicChain, path: Path | None = None) -> dict:
 
 def load_labels(path: Path) -> dict[str, str]:
     """labels.csv with header tx_hash,label; duplicates keep the first row."""
-    labels: dict[str, str] = {}
-    dupes = 0
-    with Path(path).open() as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:2] != ["tx_hash", "label"]:
-            raise SchemaError("labels.csv must start with header tx_hash,label",
-                              field="header")
-        for row in reader:
-            if row[0] in labels:
-                dupes += 1
-                continue
-            labels[row[0]] = row[1]
-    if dupes:
-        warnings.warn(f"{dupes} duplicate label hashes ignored", UserWarning)
+    rows, _, _ = load_csv(path, ("tx_hash", "label"), (), dtype=object)
+    labels = dict(reversed(rows.tolist()))  # reversed: a hash's first row wins
+    if len(labels) < len(rows):
+        warnings.warn(f"{len(rows) - len(labels)} duplicate label hashes ignored",
+                      UserWarning)
     return labels
 
 

@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import DoubleSpend, InsufficientFunds, InvalidRing, PoolTooSmall
+from .errors import DoubleSpend, InsufficientFunds, InvalidRing, PoolTooSmall, SchemaError
 from .rng import Rng
 
 FORMAT_VERSION = 1
@@ -185,14 +185,8 @@ class Chain:
             self._plain_heights.append(out.block_height)
 
 
-def _order_ring(chain: Chain, members: list[int], real: int) -> RingInput:
-    ordered = sorted(members, key=lambda oid: (chain.outputs[oid].block_height, oid))
-    return RingInput(members=ordered, real_index=ordered.index(real))
-
-
 def select_decoys(chain: Chain, real: int, ring_size: int, policy: DecoyPolicy,
-                  rng: Rng, spend_height: int | None = None,
-                  pool: list[int] | None = None) -> RingInput:
+                  rng: Rng, spend_height: int | None = None) -> RingInput:
     """Hide `real` among ring_size-1 decoys drawn from the eligible pool.
 
     Eligible means created strictly below spend_height and, for coinbase,
@@ -210,26 +204,6 @@ def select_decoys(chain: Chain, real: int, ring_size: int, policy: DecoyPolicy,
     if need == 0:
         return RingInput(members=[real], real_index=0)
 
-    if pool is not None:
-        eligible = [
-            oid for oid in pool
-            if oid != real and oid in chain.outputs
-            and chain.outputs[oid].block_height < spend_height
-            and chain.is_mature(chain.outputs[oid], spend_height)
-        ]
-        # drop duplicates, keep first occurrence
-        seen: set[int] = set()
-        eligible = [o for o in eligible if not (o in seen or seen.add(o))]
-        if len(eligible) < need:
-            raise PoolTooSmall(
-                f"{len(eligible)} eligible decoys, ring of {ring_size} needs {need}")
-        if policy.kind == "uniform":
-            decoys = rng.sample(eligible, need)
-        else:
-            decoys = _weighted_decoys(chain, eligible, need, policy, rng)
-        return _order_ring(chain, decoys + [real], real)
-
-    # fast path against the chain's own creation-ordered indexes
     total = chain.eligible_decoy_count(spend_height)
     real_out = chain.outputs[real]
     real_eligible = (real_out.block_height < spend_height
@@ -248,15 +222,15 @@ def select_decoys(chain: Chain, real: int, ring_size: int, policy: DecoyPolicy,
                 decoys.append(oid)
     else:
         ordered = chain.eligible_ids_chronological(spend_height)
-        decoys = _weighted_decoys(chain, [o for o in ordered if o != real],
-                                  need, policy, rng)
-    return _order_ring(chain, decoys + [real], real)
+        decoys = _weighted_decoys([o for o in ordered if o != real], need, policy, rng)
+    members = sorted(decoys + [real], key=lambda oid: (chain.outputs[oid].block_height, oid))
+    return RingInput(members=members, real_index=members.index(real))
 
 
-def _weighted_decoys(chain: Chain, eligible: list[int], need: int,
-                     policy: DecoyPolicy, rng: Rng) -> list[int]:
-    """Rank-weighted sampling without replacement; rank 1 is the newest."""
-    ordered = sorted(eligible, key=lambda oid: (chain.outputs[oid].block_height, oid))
+def _weighted_decoys(ordered: list[int], need: int, policy: DecoyPolicy,
+                     rng: Rng) -> list[int]:
+    """Rank-weighted sampling without replacement over ids ordered oldest
+    first by (creating height, id); rank 1 is the newest."""
     n = len(ordered)
     weights = [(n - i) ** -policy.recency_shape for i in range(n)]
     cum = []
@@ -529,7 +503,18 @@ def validate_chain(chain: Chain) -> ValidationReport:
 
 # Serialization -----------------------------------------------------------------
 
-def _dump_json(payload: dict, path: Path) -> None:
+def load_json(path: Path):
+    """Parse a JSON input file; malformed text raises SchemaError naming the
+    file, line and column."""
+    path = Path(path)
+    try:
+        return json.loads(path.read_text())
+    except json.JSONDecodeError as err:
+        raise SchemaError(f"{path}: line {err.lineno} column {err.colno}: "
+                          f"{err.msg}") from None
+
+
+def dump_json(payload: dict, path: Path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
@@ -597,11 +582,11 @@ def chain_from_dict(payload: dict) -> Chain:
 
 
 def save_chain(chain: Chain, path: Path) -> None:
-    _dump_json(chain_to_dict(chain), path)
+    dump_json(chain_to_dict(chain), path)
 
 
 def load_chain(path: Path) -> Chain:
-    return chain_from_dict(json.loads(Path(path).read_text()))
+    return chain_from_dict(load_json(path))
 
 
 def public_chain_to_dict(pub: PublicChain) -> dict:
@@ -653,8 +638,8 @@ def public_chain_from_dict(payload: dict) -> PublicChain:
 
 
 def save_public_chain(pub: PublicChain, path: Path) -> None:
-    _dump_json(public_chain_to_dict(pub), path)
+    dump_json(public_chain_to_dict(pub), path)
 
 
 def load_public_chain(path: Path) -> PublicChain:
-    return public_chain_from_dict(json.loads(Path(path).read_text()))
+    return public_chain_from_dict(load_json(path))

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import ConstantTarget, DegenerateLabels
-from ..features import CandidateTable, FeatureMatrix, normalize_columns
+from ..features import CandidateTable, FeatureMatrix
 from .crossval import ModelSpec, SearchSpec, fit_model, kfold_eval, random_search
 from .forest import feature_importance
 
@@ -84,15 +84,14 @@ def search_fit_rank(model_spec: ModelSpec, fm: FeatureMatrix, y,
                     search: SearchSpec) -> tuple[dict, dict, list, list | None]:
     """Search (or one k-fold pass) on `fm.raw`, then rank a forest fit on all rows.
 
-    The final fit's input is recomputed from `fm.raw` with the fold transform
-    (what features.csv stores), so a matrix whose raw columns were replaced
-    stays consistent.  Importances are None for non-forest families.
+    The final fit's input is `fm.normalized` (what features.csv stores).
+    Importances are None for non-forest families.
     """
     best_params, result, trials = _resolve(model_spec, fm.raw, y, search)
     importances = None
     if model_spec.family == "forest":
         final = fit_model(replace(model_spec, params=best_params),
-                          normalize_columns(fm.raw)[0], y, seed=search.seed)
+                          fm.normalized, y, seed=search.seed)
         importances = _ranked_importances(final, fm.names)
     return best_params, result, trials, importances
 

@@ -1,11 +1,16 @@
 """Shared builders for hand-sized chains used across the suite."""
 
 import pytest
+from hypothesis import settings
 
 from ringtrace.ledger import Chain, DecoyPolicy, apply_block, build_transaction
 from ringtrace.rng import Rng
 
 UNIFORM = DecoyPolicy("uniform")
+
+# property tests draw the same examples on every run, like every other test
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 def mine_empty(chain: Chain, n: int, reward: int = 1000, miners=None) -> None:

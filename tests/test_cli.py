@@ -201,6 +201,92 @@ def test_train_real_index_outside_ring_exit_2(workdir, tmp_path, capsys):
     assert str(path) in err["message"] and f"tx_id {row[0]} " in err["message"]
 
 
+def _corrupt(src, dst, column, value, row=2):
+    """Copy CSV `src` to `dst` with `column` of data row `row` set to `value`."""
+    lines = src.read_text().splitlines()
+    cells = lines[row].split(",")
+    cells[lines[0].split(",").index(column)] = value
+    lines[row] = ",".join(cells)
+    dst.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("task, name, column, value", [
+    ("value", "labels.csv", "value", "12.5"),
+    ("spoof", "real_inputs.csv", "real_index", ""),
+    ("value", "features_raw.csv", "num_rings", "oops"),
+])
+def test_train_malformed_csv_cell_exit_2(workdir, tmp_path, capsys, task, name,
+                                         column, value):
+    files = {"features": workdir / "fx", "labels": workdir / "sim" / "labels.csv",
+             "real_inputs": workdir / "sim" / "real_inputs.csv"}
+    path = tmp_path / name
+    if name == "features_raw.csv":
+        # train reads features_raw.csv and the names in norm_stats.json only
+        (tmp_path / "norm_stats.json").write_bytes(
+            (workdir / "fx" / "norm_stats.json").read_bytes())
+        _corrupt(workdir / "fx" / name, path, column, value)
+        files["features"] = tmp_path
+    else:
+        _corrupt(workdir / "sim" / name, path, column, value)
+        files[name.removesuffix(".csv")] = path
+    argv = ["train", "--task", task, "--folds", "2", "--out", str(tmp_path / "t")]
+    for flag, f in files.items():
+        argv += [f"--{flag.replace('_', '-')}", str(f)]
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "SchemaError"
+    assert f"{path}: line 3" in err["message"] and f"'{column}'" in err["message"]
+
+
+@pytest.fixture(scope="module")
+def dump(workdir):
+    """xmr-dump.json of the module's chain and a labels file for it."""
+    from ringtrace.ingest import export_dump
+    from ringtrace.ledger import load_public_chain
+
+    pub = load_public_chain(workdir / "sim" / "public_chain.json")
+    export_dump(pub, workdir / "xmr-dump.json")
+    rows = ["tx_hash,label"] + [f"{t:016x},exchange" for t in pub.transfer_ids()[::3]]
+    (workdir / "ext_labels.csv").write_text("\n".join(rows) + "\n")
+    return workdir / "xmr-dump.json"
+
+
+@pytest.mark.parametrize("text, where, column", [
+    ("", "line 1", "tx_hash"),
+    ("tx_hash,label\nabc\n", "line 2", "label"),
+])
+def test_ingest_malformed_labels_exit_2(dump, tmp_path, capsys, text, where, column):
+    path = tmp_path / "labels.csv"
+    path.write_text(text)
+    assert main(["ingest", "--dump", str(dump), "--labels", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "SchemaError"
+    assert f"{path}: {where}" in err["message"] and f"'{column}'" in err["message"]
+
+
+@pytest.mark.parametrize("argv, source", [
+    (["simulate", "--economy", "{bad}", "--out", "{out}"], "econ/economy.json"),
+    (["featurize", "--chain", "{bad}", "--out", "{out}"], "sim/public_chain.json"),
+    (["featurize", "--chain", "{pub}", "--ground-truth", "{bad}", "--out", "{out}"],
+     "sim/chain.json"),
+    (["validate", "--chain", "{bad}"], "sim/chain.json"),
+    (["ingest", "--dump", "{bad}", "--labels", "{labels}", "--out", "{out}"],
+     "xmr-dump.json"),
+])
+def test_truncated_json_input_exit_2(workdir, dump, tmp_path, capsys, argv, source):
+    text = (workdir / source).read_text()
+    bad = tmp_path / source.split("/")[-1]
+    bad.write_text(text[:len(text) // 2])
+    paths = {"bad": bad, "out": tmp_path / "out",
+             "pub": workdir / "sim" / "public_chain.json",
+             "labels": workdir / "ext_labels.csv"}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "SchemaError"
+    assert f"{bad}: line 1 column " in err["message"]
+
+
 def test_ingest_command(workdir, tmp_path):
     from ringtrace.ingest import export_dump
     from ringtrace.ledger import load_public_chain

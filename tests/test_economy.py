@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringtrace.economy import (
     AgentProfile,
@@ -18,7 +20,7 @@ from ringtrace.economy import (
     shift_into_windows,
 )
 from ringtrace.errors import ModeRequiresSecrets, NoScheduleWarning, UnknownScenario
-from ringtrace.ledger import public_view, validate_chain
+from ringtrace.ledger import public_chain_to_dict, public_view, validate_chain
 from ringtrace.rng import Rng
 
 
@@ -153,6 +155,39 @@ def test_simulation_realizes_schedule_and_validates():
     assert len(transfers) == spec.target_tx_count
     assert len(gt.labels) == spec.target_tx_count
     assert validate_chain(chain).ok
+
+
+SECRET_KEYS = {"owner", "amount", "real_index", "sender", "receiver",
+               "intended_amount", "spent_by"}
+
+
+def _keys(node) -> set:
+    """Every dict key at any depth of a JSON-like value."""
+    if isinstance(node, dict):
+        return set(node).union(*map(_keys, node.values()))
+    if isinstance(node, list):
+        return set().union(*map(_keys, node))
+    return set()
+
+
+@settings(max_examples=100)
+@given(seed=st.integers(0, 2**32), pools=st.integers(1, 3), per_pool=st.integers(2, 3),
+       maturity=st.integers(0, 20), delay=st.integers(0, 60),
+       decoy_kind=st.sampled_from(["uniform", "recency_weighted"]),
+       reward=st.integers(5, 60))
+def test_simulated_chain_invariants(seed, pools, per_pool, maturity, delay,
+                                    decoy_kind, reward):
+    # rewards this low leave wallets short of the ~30-unit transfers, so
+    # about half of the draws retry after InsufficientFunds
+    spec = small_spec(n_agents=pools * per_pool, pools=pools, target=40, seed=seed,
+                      processing_delay=delay, decoy_kind=decoy_kind)
+    spec.sim.coinbase_maturity = maturity
+    spec.sim.block_reward = reward
+    chain, _ = run_simulation(gen_economy(spec, Rng(seed)), spec)
+    assert validate_chain(chain).ok
+    assert all(len(set(ring.members)) == len(ring.members) == spec.ring_size
+               for tx in chain.transactions.values() for ring in tx.inputs)
+    assert not SECRET_KEYS & _keys(public_chain_to_dict(public_view(chain)))
 
 
 def test_simulation_deterministic():

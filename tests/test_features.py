@@ -1,5 +1,6 @@
 """Featurization against independent oracles."""
 
+import dataclasses
 import datetime
 import statistics
 
@@ -17,6 +18,7 @@ from ringtrace.features import (
     candidate_table,
     featurize_chain,
     invert_normalization,
+    normalize_columns,
     one_hop,
     read_candidates,
     read_feature_matrix,
@@ -203,6 +205,14 @@ def test_normalization_inverts(sim_public):
     scale = np.abs(fm.raw[:, nz]).max(axis=0) + 1
     err = np.abs(restored[:, nz] - fm.raw[:, nz]) / scale
     assert err.max() < 1e-12
+
+
+def test_replaced_raw_renormalizes(sim_public):
+    # the normalized view follows `raw`; it is never a stale copy
+    fm = featurize_chain(sim_public)
+    part = dataclasses.replace(fm, raw=fm.raw[:, :7], names=fm.names[:7])
+    assert np.array_equal(part.normalized, normalize_columns(fm.raw[:, :7])[0])
+    assert part.norm_means.shape == part.norm_stds.shape == (7,)
 
 
 def test_identical_txs_identical_rows():

@@ -1,5 +1,7 @@
 """Dump parsing, label joins, and the external pipeline round trip."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,14 @@ def test_join_no_matches_warns():
     with pytest.warns(UserWarning, match="no label matched"):
         joined = join_labels(parsed, {"zz9": "x"})
     assert joined.y.sum() == 0
+
+
+def test_load_labels_skips_blank_lines(tmp_path):
+    p = tmp_path / "labels.csv"
+    p.write_text("tx_hash,label\naa,shapeshift\n\nbb,other\n\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert load_labels(p) == {"aa": "shapeshift", "bb": "other"}
 
 
 def test_load_labels_dedupes(tmp_path):

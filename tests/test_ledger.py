@@ -29,9 +29,8 @@ from conftest import UNIFORM, mine_empty, send, wallet_of
 
 def test_ring_contains_real_ordered_distinct(funded_chain):
     rng = Rng(1)
-    pool = sorted(funded_chain.outputs)
-    real = pool[5]
-    ring = select_decoys(funded_chain, real, 11, UNIFORM, rng, pool=pool)
+    real = sorted(funded_chain.outputs)[5]
+    ring = select_decoys(funded_chain, real, 11, UNIFORM, rng)
     assert ring.ring_size == 11
     assert len(set(ring.members)) == 11
     assert real in ring.members
@@ -48,12 +47,13 @@ def test_degenerate_ring_size_one(funded_chain):
 
 
 def test_pool_too_small(funded_chain):
-    pool = sorted(funded_chain.outputs)[:11]  # real + 10 others
-    real = pool[0]
+    # 16 coinbase outputs are mature at height 20: the real one + 15 decoys
+    assert funded_chain.eligible_decoy_count(funded_chain.next_height) == 16
+    real = sorted(funded_chain.outputs)[0]
     with pytest.raises(PoolTooSmall):
-        select_decoys(funded_chain, real, 12, UNIFORM, Rng(3), pool=pool)
+        select_decoys(funded_chain, real, 17, UNIFORM, Rng(3))
     # boundary: exactly enough is fine
-    select_decoys(funded_chain, real, 11, UNIFORM, Rng(3), pool=pool)
+    select_decoys(funded_chain, real, 16, UNIFORM, Rng(3))
 
 
 def test_uniform_sampling_chi_square_oracle():

@@ -26,9 +26,7 @@ def make_candidate_table(n_rings, ring_size, real_fn, signal, seed=0):
 
 def make_feature_matrix(X, names=None):
     names = names or tuple(f"f{i}" for i in range(X.shape[1]))
-    return FeatureMatrix(tx_ids=list(range(X.shape[0])), names=names, raw=X,
-                         normalized=X, norm_means=np.zeros(X.shape[1]),
-                         norm_stds=np.ones(X.shape[1]))
+    return FeatureMatrix(tx_ids=list(range(X.shape[0])), names=names, raw=X)
 
 
 # spoof ------------------------------------------------------------------------
