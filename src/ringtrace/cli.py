@@ -41,14 +41,8 @@ class CliError(RingtraceError):
 
 
 def _write_manifest(out_dir: Path, command: str, parameters: dict) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "format_version": FORMAT_VERSION,
-        "command": command,
-        "parameters": parameters,
-    }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    ledger.dump_json({"format_version": FORMAT_VERSION, "command": command,
+                      "parameters": parameters}, out_dir / "manifest.json")
 
 
 def _require_file(path: str | None, what: str) -> Path:

@@ -6,10 +6,9 @@ realized block counts land near the published ones (testnets mine far faster
 than mainnet's two-minute cadence).
 """
 
-import csv
 import warnings
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .errors import (
@@ -21,17 +20,17 @@ from .errors import (
     UnknownScenario,
 )
 from .ledger import (
+    FORMAT_VERSION,
     Chain,
     DecoyPolicy,
     PublicChain,
     apply_block,
     build_transaction,
+    dump_csv,
     dump_json,
-    load_json,
+    load_versioned,
 )
 from .rng import Rng
-
-FORMAT_VERSION = 1
 
 SCENARIOS = ("s03", "s04", "s05", "s06", "s07")
 
@@ -62,24 +61,6 @@ class SimParams:
 
     def policy(self) -> DecoyPolicy:
         return DecoyPolicy(self.decoy_kind, self.recency_shape)
-
-    def to_dict(self) -> dict:
-        return {
-            "block_interval": self.block_interval,
-            "block_reward": self.block_reward,
-            "fee": self.fee,
-            "coinbase_maturity": self.coinbase_maturity,
-            "warmup_blocks": self.warmup_blocks,
-            "processing_delay": self.processing_delay,
-            "stall_limit": self.stall_limit,
-            "drain_blocks": self.drain_blocks,
-            "decoy_kind": self.decoy_kind,
-            "recency_shape": self.recency_shape,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SimParams":
-        return cls(**d)
 
 
 @dataclass
@@ -292,19 +273,9 @@ def run_simulation(files: EconomyFile, spec: EconomySpec,
             q.append((t, item.destination, item.amount))
         queues[a] = q
 
-    wallets: dict[int, list] = {a: [] for a in agents}
-
-    def credit_block(block):
-        for tx_id in block.tx_ids:
-            tx = chain.transactions[tx_id]
-            for oid in tx.outputs:
-                out = chain.outputs[oid]
-                wallets[out.owner].append(out)
-
     for h in range(params.warmup_blocks):
-        block = apply_block(chain, [], agents[h % len(agents)], h * interval,
-                            params.block_reward)
-        credit_block(block)
+        apply_block(chain, [], agents[h % len(agents)], h * interval,
+                    params.block_reward)
 
     labels: dict[int, TxLabel] = {}
     real_indices: dict[int, list[int]] = {}
@@ -321,23 +292,18 @@ def run_simulation(files: EconomyFile, spec: EconomySpec,
                 req, dest, amount = q[0]
                 ts = max(req, (h - 1) * interval + 1)
                 try:
-                    tx = build_transaction(chain, wallets[a], amount, dest,
-                                           params.fee, h, ts, spec.ring_size,
-                                           policy, sim_rng)
+                    tx = build_transaction(chain, a, amount, dest, params.fee, h,
+                                           ts, spec.ring_size, policy, sim_rng)
                 except (InsufficientFunds, PoolTooSmall):
                     blocked_due = True
                     break
                 q.popleft()
-                picked = {r.members[r.real_index] for r in tx.inputs}
-                wallets[a] = [o for o in wallets[a]
-                              if o.output_id not in picked and o.spent_by is None]
                 pending.append(tx)
                 labels[tx.tx_id] = TxLabel(tx.tx_id, a, dest,
                                            profiles[dest].pool_id, amount, req)
                 real_indices[tx.tx_id] = [r.real_index for r in tx.inputs]
-        block = apply_block(chain, pending, agents[h % len(agents)], block_time,
-                            params.block_reward)
-        credit_block(block)
+        apply_block(chain, pending, agents[h % len(agents)], block_time,
+                    params.block_reward)
         if pending:
             stall = 0
         elif blocked_due:
@@ -354,9 +320,8 @@ def run_simulation(files: EconomyFile, spec: EconomySpec,
 
     for _ in range(params.drain_blocks):
         h = chain.next_height
-        block = apply_block(chain, [], agents[h % len(agents)], h * interval,
-                            params.block_reward)
-        credit_block(block)
+        apply_block(chain, [], agents[h % len(agents)], h * interval,
+                    params.block_reward)
 
     gt = GroundTruth(
         labels=labels,
@@ -371,23 +336,17 @@ def run_simulation(files: EconomyFile, spec: EconomySpec,
 
 def export_ground_truth(gt: GroundTruth, out_dir: Path) -> tuple[Path, Path]:
     """Write labels.csv and real_inputs.csv, one row per transfer (and ring)."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    labels_path = out_dir / "labels.csv"
-    with labels_path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["tx_id", "sender", "receiver", "receiver_pool", "value"])
-        for tx_id in sorted(gt.labels):
-            lab = gt.labels[tx_id]
-            w.writerow([tx_id, lab.sender, lab.receiver, lab.receiver_pool,
-                        lab.intended_amount])
-    ri_path = out_dir / "real_inputs.csv"
-    with ri_path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["tx_id", "ring_index_within_tx", "real_index"])
-        for tx_id in sorted(gt.real_indices):
-            for ring_i, real_i in enumerate(gt.real_indices[tx_id]):
-                w.writerow([tx_id, ring_i, real_i])
+    labels_path = Path(out_dir) / "labels.csv"
+    dump_csv(["tx_id", "sender", "receiver", "receiver_pool", "value"],
+             ([tx_id, lab.sender, lab.receiver, lab.receiver_pool, lab.intended_amount]
+              for tx_id, lab in sorted(gt.labels.items())),
+             labels_path)
+    ri_path = Path(out_dir) / "real_inputs.csv"
+    dump_csv(["tx_id", "ring_index_within_tx", "real_index"],
+             ([tx_id, ring_i, real_i]
+              for tx_id, reals in sorted(gt.real_indices.items())
+              for ring_i, real_i in enumerate(reals)),
+             ri_path)
     return labels_path, ri_path
 
 
@@ -413,12 +372,7 @@ def graph_edges(chain, mode: str = "all") -> list[tuple[int, int]]:
 
 
 def write_edges(edges: list[tuple[int, int]], path: Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["src_tx", "dst_tx"])
-        w.writerows(edges)
+    dump_csv(["src_tx", "dst_tx"], edges, path)
 
 
 # economy.json --------------------------------------------------------------------
@@ -431,7 +385,7 @@ def economy_to_dict(spec: EconomySpec, files: EconomyFile) -> dict:
             "name": spec.name,
             "target_tx_count": spec.target_tx_count,
             "ring_size": spec.ring_size,
-            "sim": spec.sim.to_dict(),
+            "sim": asdict(spec.sim),
             "agents": [
                 {"agent_id": a.agent_id, "pool_id": a.pool_id,
                  "wait_lambda": a.wait_lambda, "amount_lambda": a.amount_lambda,
@@ -450,8 +404,6 @@ def economy_to_dict(spec: EconomySpec, files: EconomyFile) -> dict:
 
 
 def economy_from_dict(payload: dict) -> tuple[EconomySpec, EconomyFile]:
-    if payload.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported format_version {payload.get('format_version')!r}")
     s = payload["spec"]
     agents = [
         AgentProfile(a["agent_id"], a["pool_id"], a["wait_lambda"],
@@ -462,7 +414,7 @@ def economy_from_dict(payload: dict) -> tuple[EconomySpec, EconomyFile]:
     spec = EconomySpec(
         name=s["name"], agents=agents, target_tx_count=s["target_tx_count"],
         ring_size=s["ring_size"], seed=payload["seed"],
-        sim=SimParams.from_dict(s["sim"]),
+        sim=SimParams(**s["sim"]),
     )
     files = {
         int(agent): [ScheduledTx(e["wait"], e["dest"], e["amount"]) for e in entries]
@@ -476,4 +428,4 @@ def save_economy(spec: EconomySpec, files: EconomyFile, path: Path) -> None:
 
 
 def load_economy(path: Path) -> tuple[EconomySpec, EconomyFile]:
-    return economy_from_dict(load_json(path))
+    return load_versioned(path, economy_from_dict)

@@ -9,13 +9,14 @@ storage order.
 
 import csv
 import functools
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import EmptyChain, NoRings, NoTwoRingTxs, SchemaError
-from .ledger import TRANSFER, PublicChain, PublicTx, dump_json, load_json
+from .ledger import TRANSFER, PublicChain, PublicTx, dump_csv, dump_json, load_json
 
 FORMAT_VERSION = 1
 
@@ -298,15 +299,6 @@ def ring_pair_correlation(chain: PublicChain, binning: str = "by_rank",
 
 # File formats --------------------------------------------------------------------
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
-
-
 def write_feature_matrix(fm: FeatureMatrix, out_dir: Path,
                          include_coverage: bool = False) -> dict[str, Path]:
     """features.csv (normalized), features_raw.csv, norm_stats.json.
@@ -328,7 +320,7 @@ def write_feature_matrix(fm: FeatureMatrix, out_dir: Path,
             + ([float(extra[i])] if extra is not None else [])
             for i, (tx_id, row) in enumerate(zip(fm.tx_ids, mat))
         )
-        _write_csv(out_dir / fname, header, rows)
+        dump_csv(header, rows, out_dir / fname)
         paths[fname] = out_dir / fname
     stats = {
         "format_version": FORMAT_VERSION,
@@ -368,8 +360,11 @@ def load_csv(path: Path, keys: tuple[str, ...], names: tuple[str, ...] | None = 
             raise SchemaError(f"{path}: line 1: missing column", field=missing[0])
         cols = list(range(len(keys))) + [header.index(n) for n in names]
         try:
-            data = np.loadtxt(fh, delimiter=",", usecols=cols, ndmin=2, dtype=dtype,
-                              comments=None, quotechar='"')
+            with warnings.catch_warnings():
+                # a header-only file is the caller's to report
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(fh, delimiter=",", usecols=cols, ndmin=2,
+                                  dtype=dtype, comments=None, quotechar='"')
         except ValueError as err:
             # np.loadtxt numbers rows without blank lines; find the file line
             raise (_bad_cell(path, header, cols, dtype)
@@ -409,7 +404,7 @@ def write_candidates(table: CandidateTable, path: Path) -> None:
     header = ["tx_id", "ring_index", "candidate_index"] + list(table.names)
     rows = (list(key) + [float(v) for v in row]
             for key, row in zip(table.keys, table.raw))
-    _write_csv(path, header, rows)
+    dump_csv(header, rows, path)
 
 
 def read_candidates(path: Path) -> CandidateTable:
@@ -425,4 +420,4 @@ def write_correlation(mat: RingCorrelationMatrix, path: Path) -> None:
             v = mat.values[i, j]
             rows.append([i, j, "" if np.isnan(v) else float(v),
                          int(mat.support[i, j])])
-    _write_csv(path, ["bin_i", "bin_j", "value", "support"], rows)
+    dump_csv(["bin_i", "bin_j", "value", "support"], rows, path)

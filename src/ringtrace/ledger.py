@@ -7,6 +7,7 @@ immutable by convention and safe for concurrent readers.
 """
 
 import bisect
+import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -104,7 +105,12 @@ class ValidationReport:
 
 
 class Chain:
-    """Ground-truth ledger plus the indexes the simulator samples from."""
+    """Ground-truth ledger plus the indexes the simulator samples from.
+
+    `unspent` maps each owner to the outputs no built transaction has spent
+    yet, oldest first by (block_height, output_id); coin selection in
+    build_transaction reads and consumes it.
+    """
 
     def __init__(self, block_interval: int = 120, coinbase_maturity: int = 60,
                  seed: int = 0):
@@ -123,6 +129,7 @@ class Chain:
         self._cb_heights: list[int] = []
         # pending outputs per built-but-unapplied transaction
         self._staged_outputs: dict[int, list[Output]] = {}
+        self.unspent: dict[int, list[Output]] = {}
 
     @property
     def height(self) -> int:
@@ -183,6 +190,9 @@ class Chain:
         else:
             self._plain_ids.append(out.output_id)
             self._plain_heights.append(out.block_height)
+        if out.spent_by is None:
+            bisect.insort(self.unspent.setdefault(out.owner, []), out,
+                          key=lambda o: (o.block_height, o.output_id))
 
 
 def select_decoys(chain: Chain, real: int, ring_size: int, policy: DecoyPolicy,
@@ -250,36 +260,40 @@ def _weighted_decoys(ordered: list[int], need: int, policy: DecoyPolicy,
     return decoys
 
 
-def build_transaction(chain: Chain, wallet: list[Output], amount: int, dest: int,
+def build_transaction(chain: Chain, sender: int, amount: int, dest: int,
                       fee: int, height: int, time: int, ring_size: int,
                       policy: DecoyPolicy, rng: Rng) -> Transaction:
-    """Assemble a transfer spending the wallet's oldest mature outputs.
+    """Assemble a transfer spending the sender's oldest mature outputs.
 
-    Consumes outputs oldest-first until amount+fee is covered, wraps each in
-    its own ring, and stages a payment output plus change when positive.  The
-    staged outputs materialize when apply_block accepts the transaction.
+    Walks `chain.unspent[sender]` oldest first, skipping immature outputs,
+    until amount+fee is covered, wraps each picked output in its own ring,
+    and stages a payment output plus change when positive.  The picked
+    outputs leave the unspent list only once every ring is built, so a
+    raise leaves it untouched.  The staged outputs materialize when
+    apply_block accepts the transaction.
     """
     if amount <= 0:
         raise ValueError("amount must be positive")
-    spendable = [o for o in wallet if o.spent_by is None and chain.is_mature(o, height)]
-    spendable.sort(key=lambda o: (o.block_height, o.output_id))
+    unspent = chain.unspent.get(sender, [])
     needed = amount + fee
-    picked: list[Output] = []
+    picked: list[int] = []  # positions in unspent
     covered = 0
-    for out in spendable:
+    for i, out in enumerate(unspent):
         if covered >= needed:
             break
-        picked.append(out)
-        covered += out.amount
+        if chain.is_mature(out, height):
+            picked.append(i)
+            covered += out.amount
     if covered < needed:
         raise InsufficientFunds(f"spendable {covered} < amount+fee {needed}")
 
-    sender = picked[0].owner
     rings = [
-        select_decoys(chain, out.output_id, ring_size, policy, rng,
+        select_decoys(chain, unspent[i].output_id, ring_size, policy, rng,
                       spend_height=height)
-        for out in picked
+        for i in picked
     ]
+    for i in reversed(picked):
+        del unspent[i]
 
     tx_id = chain.new_tx_id()
     change = covered - needed
@@ -514,10 +528,36 @@ def load_json(path: Path):
                           f"{err.msg}") from None
 
 
+def load_versioned(path: Path, from_dict):
+    """`from_dict` of a JSON input file that carries FORMAT_VERSION.
+
+    A file of another version, or of another kind (a field `from_dict`
+    looks up is missing), raises SchemaError naming the file and the field.
+    """
+    payload = load_json(path)
+    version = payload.get("format_version") if isinstance(payload, dict) else None
+    if version != FORMAT_VERSION:
+        raise SchemaError(f"{path}: unsupported format_version {version!r}",
+                          field="format_version")
+    try:
+        return from_dict(payload)
+    except KeyError as err:
+        raise SchemaError(f"{path}: missing field", field=err.args[0]) from None
+
+
 def dump_json(payload: dict, path: Path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+
+
+def dump_csv(header: list[str], rows, path: Path) -> None:
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def chain_to_dict(chain: Chain) -> dict:
@@ -552,8 +592,6 @@ def chain_to_dict(chain: Chain) -> dict:
 
 
 def chain_from_dict(payload: dict) -> Chain:
-    if payload.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported format_version {payload.get('format_version')!r}")
     chain = Chain(block_interval=payload["block_interval"],
                   coinbase_maturity=payload["coinbase_maturity"],
                   seed=payload["seed"])
@@ -586,7 +624,7 @@ def save_chain(chain: Chain, path: Path) -> None:
 
 
 def load_chain(path: Path) -> Chain:
-    return chain_from_dict(load_json(path))
+    return load_versioned(path, chain_from_dict)
 
 
 def public_chain_to_dict(pub: PublicChain) -> dict:
@@ -614,8 +652,6 @@ def public_chain_to_dict(pub: PublicChain) -> dict:
 
 
 def public_chain_from_dict(payload: dict) -> PublicChain:
-    if payload.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported format_version {payload.get('format_version')!r}")
     blocks = [Block(b["height"], b["timestamp"], b["miner"], list(b["tx_ids"]))
               for b in payload["blocks"]]
     txs = {
@@ -642,4 +678,4 @@ def save_public_chain(pub: PublicChain, path: Path) -> None:
 
 
 def load_public_chain(path: Path) -> PublicChain:
-    return public_chain_from_dict(load_json(path))
+    return load_versioned(path, public_chain_from_dict)

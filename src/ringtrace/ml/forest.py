@@ -33,12 +33,6 @@ class ForestHyperParams:
         if isinstance(self.max_features, float) and not 0 < self.max_features <= 1:
             raise ValueError("fractional max_features must be in (0, 1]")
 
-    def to_dict(self) -> dict:
-        return {"n_trees": self.n_trees, "max_depth": self.max_depth,
-                "max_features": self.max_features,
-                "min_samples_split": self.min_samples_split,
-                "criterion": self.criterion, "seed": self.seed}
-
 
 def _m_features(max_features, d: int) -> int:
     if max_features == "sqrt":

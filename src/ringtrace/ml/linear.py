@@ -21,11 +21,6 @@ class LinearEpsHyperParams:
     batch_size: int = 32
     seed: int = 0
 
-    def to_dict(self) -> dict:
-        return {"learning_rate": self.learning_rate, "epochs": self.epochs,
-                "epsilon": self.epsilon, "l2": self.l2,
-                "batch_size": self.batch_size, "seed": self.seed}
-
 
 @dataclass
 class LinearEpsModel:

@@ -23,11 +23,6 @@ class MlpHyperParams:
     batch_size: int = 32
     seed: int = 0
 
-    def to_dict(self) -> dict:
-        return {"hidden_units": self.hidden_units,
-                "learning_rate": self.learning_rate, "epochs": self.epochs,
-                "batch_size": self.batch_size, "seed": self.seed}
-
 
 @dataclass
 class MlpModel:

@@ -5,7 +5,6 @@ winning hyperparameters when a search ran, and an importance ranking when the
 model exposes one.
 """
 
-import csv
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -14,6 +13,7 @@ import numpy as np
 
 from ..errors import ConstantTarget, DegenerateLabels
 from ..features import CandidateTable, FeatureMatrix
+from ..ledger import dump_csv, dump_json
 from .crossval import ModelSpec, SearchSpec, fit_model, kfold_eval, random_search
 from .forest import feature_importance
 
@@ -233,29 +233,17 @@ def value_task(fm: FeatureMatrix, targets: np.ndarray,
 
 def save_report(report: ModelReport, out_dir: Path) -> dict[str, Path]:
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = {}
-    rp = out_dir / "report.json"
-    rp.write_text(json.dumps(report.to_dict(), sort_keys=True,
-                             separators=(",", ":")) + "\n")
-    paths["report.json"] = rp
-
-    ip = out_dir / "importance.csv"
-    with ip.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["rank", "feature", "weight"])
-        if report.feature_importances:
-            for rank, (name, weight) in enumerate(report.feature_importances, 1):
-                w.writerow([rank, name, float(weight)])
-    paths["importance.csv"] = ip
-
-    tp = out_dir / "trials.csv"
-    with tp.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["trial", "metric", "value", "params"])
-        for t in report.trials:
-            w.writerow([t["trial"], t["metric"],
-                        "" if t["value"] is None else float(t["value"]),
-                        json.dumps(_plain(t["params"]), sort_keys=True)])
-    paths["trials.csv"] = tp
+    paths = {name: out_dir / name
+             for name in ("report.json", "importance.csv", "trials.csv")}
+    dump_json(report.to_dict(), paths["report.json"])
+    dump_csv(["rank", "feature", "weight"],
+             ([rank, name, float(weight)] for rank, (name, weight)
+              in enumerate(report.feature_importances or [], 1)),
+             paths["importance.csv"])
+    dump_csv(["trial", "metric", "value", "params"],
+             ([t["trial"], t["metric"],
+               "" if t["value"] is None else float(t["value"]),
+               json.dumps(_plain(t["params"]), sort_keys=True)]
+              for t in report.trials),
+             paths["trials.csv"])
     return paths

@@ -41,7 +41,7 @@ def send(chain: Chain, sender: int, dest: int, amount: int, rng: Rng,
          fee: int = 1, ring_size: int = 3, policy: DecoyPolicy = UNIFORM):
     """Build one transfer and mine it into the next block."""
     h = chain.next_height
-    tx = build_transaction(chain, wallet_of(chain, sender), amount, dest, fee,
-                           h, h * chain.block_interval, ring_size, policy, rng)
+    tx = build_transaction(chain, sender, amount, dest, fee, h,
+                           h * chain.block_interval, ring_size, policy, rng)
     apply_block(chain, [tx], 0, h * chain.block_interval, 1000)
     return tx

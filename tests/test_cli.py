@@ -287,6 +287,32 @@ def test_truncated_json_input_exit_2(workdir, dump, tmp_path, capsys, argv, sour
     assert f"{bad}: line 1 column " in err["message"]
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["validate", "--chain", "{pub}"], "block_interval"),
+    (["simulate", "--economy", "{pub}", "--out", "{out}"], "spec"),
+    (["validate", "--chain", "{v2}"], "format_version"),
+])
+def test_wrong_kind_json_input_exit_2(workdir, tmp_path, capsys, argv, field):
+    chain = json.loads((workdir / "sim" / "chain.json").read_text())
+    (tmp_path / "v2.json").write_text(json.dumps({**chain, "format_version": 2}))
+    paths = {"pub": workdir / "sim" / "public_chain.json", "out": tmp_path / "out",
+             "v2": tmp_path / "v2.json"}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "SchemaError"
+    source = paths[argv[2].strip("{}")]
+    assert err["message"].startswith(f"{source}: ") and f"'{field}'" in err["message"]
+
+
+def test_ingest_header_only_labels_no_numpy_warning(dump, tmp_path, capsys, recwarn):
+    path = tmp_path / "labels.csv"
+    path.write_text("tx_hash,label\n")
+    assert main(["ingest", "--dump", str(dump), "--labels", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "DegenerateLabels"
+    assert not [w for w in recwarn if "loadtxt" in str(w.message)]
+
+
 def test_ingest_command(workdir, tmp_path):
     from ringtrace.ingest import export_dump
     from ringtrace.ledger import load_public_chain

@@ -23,6 +23,8 @@ from ringtrace.errors import ModeRequiresSecrets, NoScheduleWarning, UnknownScen
 from ringtrace.ledger import public_chain_to_dict, public_view, validate_chain
 from ringtrace.rng import Rng
 
+from conftest import wallet_of
+
 
 def small_spec(n_agents=4, pools=1, target=60, windows=None, seed=7, **sim_kw):
     """Fast scenario for loop-level tests."""
@@ -188,6 +190,8 @@ def test_simulated_chain_invariants(seed, pools, per_pool, maturity, delay,
     assert all(len(set(ring.members)) == len(ring.members) == spec.ring_size
                for tx in chain.transactions.values() for ring in tx.inputs)
     assert not SECRET_KEYS & _keys(public_chain_to_dict(public_view(chain)))
+    assert all(chain.unspent.get(a.agent_id, []) == wallet_of(chain, a.agent_id)
+               for a in spec.agents)
 
 
 def test_simulation_deterministic():

@@ -1,5 +1,6 @@
 """Ledger state machine: rings, blocks, projection, validation."""
 
+import copy
 import json
 import math
 
@@ -21,7 +22,7 @@ from ringtrace.ledger import (
 )
 from ringtrace.rng import Rng
 
-from conftest import UNIFORM, mine_empty, send, wallet_of
+from conftest import UNIFORM, mine_empty, send
 
 
 # select_decoys -------------------------------------------------------------
@@ -118,9 +119,8 @@ def test_recency_weighted_prefers_young_outputs():
 def test_build_single_input_with_change(funded_chain):
     rng = Rng(5)
     h = funded_chain.next_height
-    wallet = wallet_of(funded_chain, 0)[:1]
-    wallet[0].amount = 60
-    tx = build_transaction(funded_chain, wallet, 50, dest=1, fee=1, height=h,
+    funded_chain.unspent[0][0].amount = 60
+    tx = build_transaction(funded_chain, 0, 50, dest=1, fee=1, height=h,
                            time=h * 10, ring_size=3, policy=UNIFORM, rng=rng)
     assert len(tx.inputs) == 1
     staged = funded_chain._staged_outputs[tx.tx_id]
@@ -131,11 +131,11 @@ def test_build_single_input_with_change(funded_chain):
 def test_build_multi_ring_oldest_first(funded_chain):
     rng = Rng(6)
     h = funded_chain.next_height
-    wallet = wallet_of(funded_chain, 0)[:3]
+    wallet = list(funded_chain.unspent[0])
     wallet[0].amount = 30
     wallet[1].amount = 30
     wallet[2].amount = 500
-    tx = build_transaction(funded_chain, wallet, 50, dest=1, fee=1, height=h,
+    tx = build_transaction(funded_chain, 0, 50, dest=1, fee=1, height=h,
                            time=h * 10, ring_size=3, policy=UNIFORM, rng=rng)
     # oldest-first coin selection stops after the two 30s cover 51
     assert len(tx.inputs) == 2
@@ -143,23 +143,46 @@ def test_build_multi_ring_oldest_first(funded_chain):
     assert reals == {wallet[0].output_id, wallet[1].output_id}
     staged = funded_chain._staged_outputs[tx.tx_id]
     assert [(o.amount, o.owner) for o in staged] == [(50, 1), (9, 0)]
+    # the picked outputs left the unspent list; the 500 is next in line
+    assert funded_chain.unspent[0] == wallet[2:]
 
 
 def test_build_insufficient_funds(funded_chain):
-    wallet = wallet_of(funded_chain, 0)[:1]
-    wallet[0].amount = 10
+    h = funded_chain.next_height
+    # 8 of agent 0's 10 coinbases are mature at height 20; the two immature
+    # ones still hold 1000 each and must be skipped
+    mature = [o for o in funded_chain.unspent[0] if funded_chain.is_mature(o, h)]
+    assert len(mature) == 8
+    for out in mature:
+        out.amount = 5
     with pytest.raises(InsufficientFunds):
-        build_transaction(funded_chain, wallet, 50, dest=1, fee=1,
-                          height=funded_chain.next_height, time=0, ring_size=3,
-                          policy=UNIFORM, rng=Rng(7))
+        build_transaction(funded_chain, 0, 50, dest=1, fee=1, height=h, time=0,
+                          ring_size=3, policy=UNIFORM, rng=Rng(7))
+
+
+@pytest.mark.parametrize("amount, ring_size, error", [
+    (10, 17, PoolTooSmall),         # 16 eligible outputs at height 20
+    (10_000, 3, InsufficientFunds),  # 8 mature coinbases hold 8000
+])
+def test_failed_build_leaves_unspent_untouched(funded_chain, amount, ring_size, error):
+    # the event loop retries a failed transfer every block, so a raise must
+    # not consume the outputs it had picked
+    h = funded_chain.next_height
+    before = list(funded_chain.unspent[0])
+    with pytest.raises(error):
+        build_transaction(funded_chain, 0, amount, 1, 1, h, h * 10, ring_size,
+                          UNIFORM, Rng(23))
+    assert funded_chain.unspent[0] == before
+    tx = build_transaction(funded_chain, 0, 10, 1, 1, h, h * 10, 3, UNIFORM, Rng(23))
+    assert tx.inputs[0].members[tx.inputs[0].real_index] == before[0].output_id
+    assert funded_chain.unspent[0] == before[1:]
 
 
 def test_no_change_output_when_exact(funded_chain):
     rng = Rng(8)
     h = funded_chain.next_height
-    wallet = wallet_of(funded_chain, 0)[:1]
-    wallet[0].amount = 51
-    tx = build_transaction(funded_chain, wallet, 50, dest=1, fee=1, height=h,
+    funded_chain.unspent[0][0].amount = 51
+    tx = build_transaction(funded_chain, 0, 50, dest=1, fee=1, height=h,
                            time=h * 10, ring_size=3, policy=UNIFORM, rng=rng)
     staged = funded_chain._staged_outputs[tx.tx_id]
     assert [(o.amount, o.owner) for o in staged] == [(50, 1)]
@@ -181,9 +204,10 @@ def test_empty_block_has_only_coinbase():
 def test_double_spend_rejected(funded_chain):
     rng = Rng(10)
     h = funded_chain.next_height
-    wallet = wallet_of(funded_chain, 0)[:1]
-    tx1 = build_transaction(funded_chain, wallet, 10, 1, 1, h, h * 10, 3, UNIFORM, rng)
-    tx2 = build_transaction(funded_chain, wallet, 10, 1, 1, h, h * 10, 3, UNIFORM, rng)
+    tx1 = build_transaction(funded_chain, 0, 10, 1, 1, h, h * 10, 3, UNIFORM, rng)
+    tx2 = build_transaction(funded_chain, 0, 10, 1, 1, h, h * 10, 3, UNIFORM, rng)
+    # coin selection never picks an output twice; forge the second spend
+    tx2.inputs = copy.deepcopy(tx1.inputs)
     with pytest.raises(DoubleSpend):
         apply_block(funded_chain, [tx1, tx2], 0, h * 10, 1000)
 
@@ -192,8 +216,7 @@ def test_nonexistent_ring_member_rejected(funded_chain):
     from ringtrace.errors import InvalidRing
     rng = Rng(22)
     h = funded_chain.next_height
-    tx = build_transaction(funded_chain, wallet_of(funded_chain, 0), 10, 1, 1,
-                           h, h * 10, 3, UNIFORM, rng)
+    tx = build_transaction(funded_chain, 0, 10, 1, 1, h, h * 10, 3, UNIFORM, rng)
     tx.inputs[0].members[0] = 999_999
     with pytest.raises(InvalidRing):
         apply_block(funded_chain, [tx], 0, h * 10, 1000)
@@ -209,8 +232,7 @@ def test_n_blocks_reach_height_n_minus_1():
 def test_fees_recycle_into_coinbase(funded_chain):
     rng = Rng(11)
     h = funded_chain.next_height
-    tx = build_transaction(funded_chain, wallet_of(funded_chain, 0), 10, 1, 7,
-                           h, h * 10, 3, UNIFORM, rng)
+    tx = build_transaction(funded_chain, 0, 10, 1, 7, h, h * 10, 3, UNIFORM, rng)
     block = apply_block(funded_chain, [tx], miner=1, time=h * 10, block_reward=1000)
     cb = funded_chain.transactions[block.tx_ids[0]]
     assert funded_chain.outputs[cb.outputs[0]].amount == 1007
