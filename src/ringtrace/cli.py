@@ -242,13 +242,8 @@ def cmd_ingest(args) -> int:
 def cmd_validate(args) -> int:
     chain = ledger.load_chain(_require_file(args.chain, "chain"))
     report = ledger.validate_chain(chain)
-    payload = {
-        "ok": report.ok,
-        "violations": [
-            {"code": v.code, "subject": v.subject, "message": v.message}
-            for v in report.violations
-        ],
-    }
+    payload = {"ok": report.ok,
+               "violations": [ledger.record_to_dict(v) for v in report.violations]}
     print(json.dumps(payload, sort_keys=True))
     return 0 if report.ok else 1
 

@@ -29,6 +29,8 @@ from .ledger import (
     dump_csv,
     dump_json,
     load_versioned,
+    record_from_dict,
+    record_to_dict,
 )
 from .rng import Rng
 
@@ -42,6 +44,9 @@ class AgentProfile:
     wait_lambda: float
     amount_lambda: float
     active_windows: list[tuple[float, float]] = field(default_factory=list)
+
+    def __post_init__(self):
+        self.active_windows = [tuple(w) for w in self.active_windows]
 
 
 @dataclass
@@ -82,8 +87,8 @@ class EconomySpec:
 
 @dataclass
 class ScheduledTx:
-    wait_seconds: int
-    destination: int
+    wait: int  # seconds after the agent's previous request
+    dest: int
     amount: int
 
 
@@ -269,8 +274,8 @@ def run_simulation(files: EconomyFile, spec: EconomySpec,
         t = start
         q: deque = deque()
         for item in files.get(a, []):
-            t = shift_into_windows(t + item.wait_seconds, win)
-            q.append((t, item.destination, item.amount))
+            t = shift_into_windows(t + item.wait, win)
+            q.append((t, item.dest, item.amount))
         queues[a] = q
 
     for h in range(params.warmup_blocks):
@@ -386,40 +391,23 @@ def economy_to_dict(spec: EconomySpec, files: EconomyFile) -> dict:
             "target_tx_count": spec.target_tx_count,
             "ring_size": spec.ring_size,
             "sim": asdict(spec.sim),
-            "agents": [
-                {"agent_id": a.agent_id, "pool_id": a.pool_id,
-                 "wait_lambda": a.wait_lambda, "amount_lambda": a.amount_lambda,
-                 "active_windows": [list(w) for w in a.active_windows]}
-                for a in sorted(spec.agents, key=lambda a: a.agent_id)
-            ],
+            "agents": [record_to_dict(a)
+                       for a in sorted(spec.agents, key=lambda a: a.agent_id)],
         },
-        "files": {
-            str(agent): [
-                {"wait": s.wait_seconds, "dest": s.destination, "amount": s.amount}
-                for s in schedule
-            ]
-            for agent, schedule in sorted(files.items())
-        },
+        "files": {str(agent): [record_to_dict(s) for s in schedule]
+                  for agent, schedule in sorted(files.items())},
     }
 
 
 def economy_from_dict(payload: dict) -> tuple[EconomySpec, EconomyFile]:
     s = payload["spec"]
-    agents = [
-        AgentProfile(a["agent_id"], a["pool_id"], a["wait_lambda"],
-                     a["amount_lambda"],
-                     [tuple(w) for w in a["active_windows"]])
-        for a in s["agents"]
-    ]
     spec = EconomySpec(
-        name=s["name"], agents=agents, target_tx_count=s["target_tx_count"],
-        ring_size=s["ring_size"], seed=payload["seed"],
-        sim=SimParams(**s["sim"]),
+        name=s["name"], agents=[record_from_dict(AgentProfile, a) for a in s["agents"]],
+        target_tx_count=s["target_tx_count"], ring_size=s["ring_size"],
+        seed=payload["seed"], sim=SimParams(**s["sim"]),
     )
-    files = {
-        int(agent): [ScheduledTx(e["wait"], e["dest"], e["amount"]) for e in entries]
-        for agent, entries in payload["files"].items()
-    }
+    files = {int(agent): [record_from_dict(ScheduledTx, e) for e in entries]
+             for agent, entries in payload["files"].items()}
     return spec, files
 
 

@@ -166,7 +166,6 @@ def summarize_folds(fold_rows: list[dict]) -> dict:
 
 DEFAULT_SPACES = {
     "forest": {
-        "n_trees": ("int", 50, 500),
         "max_depth": ("choice", [None] + list(range(3, 21))),
         "max_features": ("choice", ["sqrt", 0.1, 0.25, 0.5, 0.75, 1.0]),
         "min_samples_split": ("int", 2, 20),
@@ -190,9 +189,6 @@ def sample_params(space: dict, rng: np.random.Generator) -> dict:
         if kind == "int":
             lo, hi = args
             out[name] = int(rng.integers(lo, hi + 1))
-        elif kind == "float":
-            lo, hi = args
-            out[name] = float(rng.uniform(lo, hi))
         elif kind == "log":
             lo, hi = args
             out[name] = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))

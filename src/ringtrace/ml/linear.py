@@ -40,7 +40,8 @@ def train_linear_epsilon(X: np.ndarray, y: np.ndarray,
     n, d = X.shape
     rng = np.random.default_rng(np.random.SeedSequence(entropy=hp.seed,
                                                        spawn_key=(202,)))
-    model = LinearEpsModel(hp=hp, w=np.zeros(d))
+    # with w at 0 the epsilon-loss is lowest at the target median
+    model = LinearEpsModel(hp=hp, w=np.zeros(d), b=float(np.median(y)))
     for epoch in range(hp.epochs):
         perm = rng.permutation(n)
         losses = []

@@ -113,7 +113,7 @@ def train_mlp(X: np.ndarray, y: np.ndarray, hp: MlpHyperParams,
     model.W1 = rng.standard_normal((d, hp.hidden_units)) / np.sqrt(d)
     model.b1 = np.zeros(hp.hidden_units)
     model.W2 = rng.standard_normal((hp.hidden_units, k)) / np.sqrt(hp.hidden_units)
-    model.b2 = np.zeros(k)
+    model.b2 = np.zeros(k) if task == "classify" else np.full(1, y_enc.mean())
 
     for epoch in range(hp.epochs):
         perm = rng.permutation(n)

@@ -13,7 +13,7 @@ import numpy as np
 
 from ..errors import ConstantTarget, DegenerateLabels
 from ..features import CandidateTable, FeatureMatrix
-from ..ledger import dump_csv, dump_json
+from ..ledger import dump_csv, dump_json, record_to_dict
 from .crossval import ModelSpec, SearchSpec, fit_model, kfold_eval, random_search
 from .forest import feature_importance
 
@@ -31,20 +31,6 @@ class ModelReport:
     feature_importances: list | None = None  # [(name, weight)] descending
     trials: list = field(default_factory=list)
     extras: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "format_version": FORMAT_VERSION,
-            "task": self.task,
-            "model_family": self.model_family,
-            "best_params": _plain(self.best_params),
-            "folds": _plain(self.folds),
-            "summary": _plain(self.summary),
-            "baseline": _plain(self.baseline),
-            "feature_importances": _plain(self.feature_importances),
-            "trials": _plain(self.trials),
-            "extras": _plain(self.extras),
-        }
 
 
 def _plain(obj):
@@ -235,7 +221,8 @@ def save_report(report: ModelReport, out_dir: Path) -> dict[str, Path]:
     out_dir = Path(out_dir)
     paths = {name: out_dir / name
              for name in ("report.json", "importance.csv", "trials.csv")}
-    dump_json(report.to_dict(), paths["report.json"])
+    dump_json({"format_version": FORMAT_VERSION, **_plain(record_to_dict(report))},
+              paths["report.json"])
     dump_csv(["rank", "feature", "weight"],
              ([rank, name, float(weight)] for rank, (name, weight)
               in enumerate(report.feature_importances or [], 1)),

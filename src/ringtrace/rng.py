@@ -55,9 +55,6 @@ class Rng:
         """Uniform float in [0, 1) with 53 random bits."""
         return (self.next_u64() >> 11) * (2.0 ** -53)
 
-    def uniform(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * self.random()
-
     def randrange(self, n: int) -> int:
         """Unbiased integer in [0, n) by rejection."""
         if n <= 0:
@@ -67,33 +64,6 @@ class Rng:
             x = self.next_u64()
             if x < limit:
                 return x % n
-
-    def randint(self, lo: int, hi: int) -> int:
-        """Inclusive integer in [lo, hi]."""
-        return lo + self.randrange(hi - lo + 1)
-
-    def choice(self, seq):
-        return seq[self.randrange(len(seq))]
-
-    def shuffle(self, xs: list) -> None:
-        """In-place Fisher-Yates."""
-        for i in range(len(xs) - 1, 0, -1):
-            j = self.randrange(i + 1)
-            xs[i], xs[j] = xs[j], xs[i]
-
-    def sample(self, seq, k: int) -> list:
-        """k distinct elements, order of first selection, via index rejection."""
-        n = len(seq)
-        if k > n:
-            raise ValueError(f"cannot sample {k} from {n} elements")
-        chosen: set[int] = set()
-        out = []
-        while len(out) < k:
-            i = self.randrange(n)
-            if i not in chosen:
-                chosen.add(i)
-                out.append(seq[i])
-        return out
 
     def poisson(self, lam: float) -> int:
         """Poisson draw by CDF inversion; large means split into exact chunks."""

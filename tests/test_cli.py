@@ -291,12 +291,20 @@ def test_truncated_json_input_exit_2(workdir, dump, tmp_path, capsys, argv, sour
     (["validate", "--chain", "{pub}"], "block_interval"),
     (["simulate", "--economy", "{pub}", "--out", "{out}"], "spec"),
     (["validate", "--chain", "{v2}"], "format_version"),
+    (["validate", "--chain", "{no_spent_by}"], "spent_by"),
+    (["validate", "--chain", "{no_real_index}"], "real_index"),
 ])
 def test_wrong_kind_json_input_exit_2(workdir, tmp_path, capsys, argv, field):
     chain = json.loads((workdir / "sim" / "chain.json").read_text())
     (tmp_path / "v2.json").write_text(json.dumps({**chain, "format_version": 2}))
+    spent_by = chain["outputs"][0].pop("spent_by")
+    (tmp_path / "no_spent_by.json").write_text(json.dumps(chain))
+    chain["outputs"][0]["spent_by"] = spent_by
+    del next(t for t in chain["transactions"] if t["inputs"])["inputs"][0]["real_index"]
+    (tmp_path / "no_real_index.json").write_text(json.dumps(chain))
     paths = {"pub": workdir / "sim" / "public_chain.json", "out": tmp_path / "out",
-             "v2": tmp_path / "v2.json"}
+             **{name: tmp_path / f"{name}.json"
+                for name in ("v2", "no_spent_by", "no_real_index")}}
     assert main([arg.format(**paths) for arg in argv]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "SchemaError"

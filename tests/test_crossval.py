@@ -12,7 +12,9 @@ from ringtrace.ml import (
     ModelSpec,
     SearchSpec,
     contiguous_shuffle_folds,
+    fit_model,
     kfold_eval,
+    r_squared,
     random_search,
     stratified_folds,
 )
@@ -143,6 +145,24 @@ def test_random_search_best_dominates_log():
                                "max_depth": ("choice", [2, 4, 8])})
     values = [t["value"] for t in res["trials"] if t["value"] is not None]
     assert res["best_value"] >= max(values) - 1e-12
+
+
+def test_forest_search_keeps_spec_tree_count():
+    X, y = blob_data(seed=12, n=60)
+    spec = ModelSpec("forest", "classify", {"n_trees": 3})
+    res = random_search(spec, X, y, SearchSpec(budget=3, folds=2, seed=12))
+    assert [t["params"]["n_trees"] for t in res["trials"]] == [3, 3, 3]
+
+
+@pytest.mark.parametrize("family, epochs", [("linear", 60), ("mlp", 20)])
+def test_regression_head_starts_at_the_data(family, epochs):
+    # targets far from 0: a bias that starts at 0 is still far off after training
+    rng = np.random.default_rng(6)
+    X = rng.normal(size=(300, 4))
+    y = 100 + X @ np.array([3.0, -2.0, 1.0, 0.5]) + rng.normal(0, 0.5, 300)
+    model = fit_model(ModelSpec(family, "regress", {"epochs": epochs}),
+                      X[:240], y[:240], seed=6)
+    assert r_squared(y[240:], model.predict(X[240:])) >= 0.9
 
 
 def test_mlp_hidden_units_sampled_in_range():

@@ -1,5 +1,6 @@
 """Scenario presets, schedule generation, and the simulation loop."""
 
+import json
 import math
 
 import pytest
@@ -20,7 +21,15 @@ from ringtrace.economy import (
     shift_into_windows,
 )
 from ringtrace.errors import ModeRequiresSecrets, NoScheduleWarning, UnknownScenario
-from ringtrace.ledger import public_chain_to_dict, public_view, validate_chain
+from ringtrace.ledger import (
+    load_chain,
+    load_public_chain,
+    public_chain_to_dict,
+    public_view,
+    save_chain,
+    save_public_chain,
+    validate_chain,
+)
 from ringtrace.rng import Rng
 
 from conftest import wallet_of
@@ -94,7 +103,7 @@ def test_wait_mean_matches_poisson_oracle():
     agents = [AgentProfile(0, 0, 100.0, 10.0), AgentProfile(1, 0, 100.0, 10.0)]
     spec = EconomySpec("pair", agents, target_tx_count=10_000, seed=3)
     files = gen_economy(spec, Rng(3))
-    waits = [s.wait_seconds for sched in files.values() for s in sched]
+    waits = [s.wait for sched in files.values() for s in sched]
     assert len(waits) == 10_000
     mean = sum(waits) / len(waits)
     assert abs(mean - 100) < 3 * math.sqrt(100 / len(waits))
@@ -110,8 +119,8 @@ def test_amounts_at_least_one_and_destinations_in_pool():
         for s in sched:
             total += 1
             assert s.amount >= 1
-            assert s.destination != agent
-            assert pool_of[s.destination] == pool_of[agent]
+            assert s.dest != agent
+            assert pool_of[s.dest] == pool_of[agent]
     assert total == spec.target_tx_count
 
 
@@ -177,8 +186,8 @@ def _keys(node) -> set:
        maturity=st.integers(0, 20), delay=st.integers(0, 60),
        decoy_kind=st.sampled_from(["uniform", "recency_weighted"]),
        reward=st.integers(5, 60))
-def test_simulated_chain_invariants(seed, pools, per_pool, maturity, delay,
-                                    decoy_kind, reward):
+def test_simulated_chain_invariants(tmp_path_factory, seed, pools, per_pool, maturity,
+                                    delay, decoy_kind, reward):
     # rewards this low leave wallets short of the ~30-unit transfers, so
     # about half of the draws retry after InsufficientFunds
     spec = small_spec(n_agents=pools * per_pool, pools=pools, target=40, seed=seed,
@@ -191,6 +200,17 @@ def test_simulated_chain_invariants(seed, pools, per_pool, maturity, delay,
                for tx in chain.transactions.values() for ring in tx.inputs)
     assert not SECRET_KEYS & _keys(public_chain_to_dict(public_view(chain)))
     assert all(chain.unspent.get(a.agent_id, []) == wallet_of(chain, a.agent_id)
+               for a in spec.agents)
+    # save -> load -> save is byte-identical, and the loaded chain rebuilds unspent
+    d = tmp_path_factory.mktemp("round_trip")
+    save_chain(chain, d / "chain.json")
+    save_public_chain(public_view(chain), d / "public_chain.json")
+    loaded = load_chain(d / "chain.json")
+    save_chain(loaded, d / "chain2.json")
+    save_public_chain(load_public_chain(d / "public_chain.json"), d / "public_chain2.json")
+    assert (d / "chain.json").read_bytes() == (d / "chain2.json").read_bytes()
+    assert (d / "public_chain.json").read_bytes() == (d / "public_chain2.json").read_bytes()
+    assert all(loaded.unspent.get(a.agent_id, []) == chain.unspent.get(a.agent_id, [])
                for a in spec.agents)
 
 
@@ -281,8 +301,11 @@ def test_true_edges_need_secrets():
 
 
 def test_economy_round_trip():
-    spec = scenario_preset("s03", seed=9)
-    files = gen_economy(spec, Rng(9))
-    d1 = economy_to_dict(spec, files)
-    d2 = economy_to_dict(*economy_from_dict(d1))
-    assert d1 == d2
+    # s06 agents carry trading windows
+    for name in ("s03", "s06"):
+        spec = scenario_preset(name, seed=9)
+        files = gen_economy(spec, Rng(9))
+        d1 = economy_to_dict(spec, files)
+        spec2, files2 = economy_from_dict(json.loads(json.dumps(d1)))
+        assert (spec2, files2) == (spec, files)
+        assert economy_to_dict(spec2, files2) == d1

@@ -59,20 +59,6 @@ def test_randrange_rejects_nonpositive():
         Rng(0).randrange(0)
 
 
-def test_shuffle_is_permutation():
-    rng = Rng(11)
-    xs = list(range(50))
-    ys = list(xs)
-    rng.shuffle(ys)
-    assert sorted(ys) == xs
-
-
-def test_sample_distinct():
-    rng = Rng(13)
-    got = rng.sample(list(range(100)), 10)
-    assert len(set(got)) == 10
-
-
 @pytest.mark.parametrize("lam", [0.5, 5.0, 100.0])
 def test_poisson_mean_within_3_sigma(lam):
     rng = Rng(21)
