@@ -31,4 +31,6 @@ report = spoof_task(table, truth.real_indices, model,
 print(f"\nrings evaluated: {report.extras['n_rings']}")
 print(f"top-1 ring accuracy: {report.summary['top1']['mean']:.3f}")
 print(f"guessing baseline:   {report.baseline['top1']:.3f}")
+print(f"guess oldest member: {report.baseline['guess_oldest_top1']:.3f}")
+print(f"guess newest member: {report.baseline['guess_newest_top1']:.3f}")
 print(f"chance-score control: {report.extras['chance_control_top1']:.3f}")

@@ -20,7 +20,6 @@ from .economy import (
 from .features import (
     FEATURE_NAMES,
     FeatureMatrix,
-    candidate_features,
     candidate_table,
     featurize_chain,
     one_hop,
@@ -44,8 +43,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AgentProfile", "EconomySpec", "GroundTruth", "ScheduledTx", "SimParams",
     "gen_economy", "graph_edges", "run_simulation", "scenario_preset",
-    "FEATURE_NAMES", "FeatureMatrix", "candidate_features", "candidate_table",
-    "featurize_chain", "one_hop", "ring_pair_correlation", "zero_hop",
+    "FEATURE_NAMES", "FeatureMatrix", "candidate_table", "featurize_chain",
+    "one_hop", "ring_pair_correlation", "zero_hop",
     "Chain", "DecoyPolicy", "PublicChain", "apply_block", "build_transaction",
     "public_view", "select_decoys", "validate_chain",
     "Rng", "__version__",

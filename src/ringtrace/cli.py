@@ -171,7 +171,9 @@ def _read_real_indices(path: Path) -> dict[int, list[int]]:
     acc: dict[int, dict[int, int]] = {}
     for tx, ring, real in rows.tolist():
         acc.setdefault(tx, {})[ring] = real
-    return {tx: [rings[i] for i in sorted(rings)] for tx, rings in acc.items()}
+    # a ring without a row reads -1, which spoof_task reports by its position
+    return {tx: [rings.get(i, -1) for i in range(max(rings) + 1)]
+            for tx, rings in acc.items()}
 
 
 def cmd_train(args) -> int:

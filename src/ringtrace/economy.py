@@ -8,7 +8,7 @@ than mainnet's two-minute cadence).
 
 import warnings
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import (
@@ -390,7 +390,7 @@ def economy_to_dict(spec: EconomySpec, files: EconomyFile) -> dict:
             "name": spec.name,
             "target_tx_count": spec.target_tx_count,
             "ring_size": spec.ring_size,
-            "sim": asdict(spec.sim),
+            "sim": record_to_dict(spec.sim),
             "agents": [record_to_dict(a)
                        for a in sorted(spec.agents, key=lambda a: a.agent_id)],
         },
@@ -404,7 +404,7 @@ def economy_from_dict(payload: dict) -> tuple[EconomySpec, EconomyFile]:
     spec = EconomySpec(
         name=s["name"], agents=[record_from_dict(AgentProfile, a) for a in s["agents"]],
         target_tx_count=s["target_tx_count"], ring_size=s["ring_size"],
-        seed=payload["seed"], sim=SimParams(**s["sim"]),
+        seed=payload["seed"], sim=record_from_dict(SimParams, s["sim"]),
     )
     files = {int(agent): [record_from_dict(ScheduledTx, e) for e in entries]
              for agent, entries in payload["files"].items()}

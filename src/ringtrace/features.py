@@ -168,66 +168,64 @@ def featurize_chain(chain: PublicChain, include_coinbase: bool = False) -> Featu
     if not tx_ids:
         raise EmptyChain("no transactions to featurize")
 
-    def row(tx_id: int) -> np.ndarray:
-        tx = chain.transactions[tx_id]
-        zh = zero_hop(tx)
-        oh = one_hop(tx, chain) if tx.rings else np.zeros(175, dtype=np.float64)
-        return np.concatenate([zh, oh])
-
-    raw = np.stack([row(t) for t in tx_ids])
+    raw = _tx_rows(chain, tx_ids)
     cov = np.array([ring_coverage(chain.transactions[t], chain) for t in tx_ids])
     return FeatureMatrix(tx_ids=tx_ids, names=FEATURE_NAMES, raw=raw, coverage=cov)
 
 
-def candidate_features(tx: PublicTx, ring_index: int, chain: PublicChain,
-                       one_hop_cache: dict | None = None) -> np.ndarray:
-    """One row per ring member: its creating tx's profile, age, and context.
-
-    Columns: the member's zero-hop vector, delta_time (spend minus creation),
-    age_rank (0 = oldest member), then the member's own one-hop block
-    (zero-filled when the creating tx has no rings or is unknown).
-    """
-    members = tx.rings[ring_index]
-    rows = np.empty((len(members), len(CANDIDATE_NAMES)), dtype=np.float64)
-    for rank, oid in enumerate(members):
-        creator = chain.creating_tx(oid)
-        zh = _member_zero_hop(chain, oid)
-        delta = float(tx.timestamp - creator.timestamp) if creator is not None else 0.0
-        if creator is not None and creator.rings:
-            if one_hop_cache is not None and creator.tx_id in one_hop_cache:
-                oh = one_hop_cache[creator.tx_id]
-            else:
-                oh = one_hop(creator, chain)
-                if one_hop_cache is not None:
-                    one_hop_cache[creator.tx_id] = oh
-        else:
-            oh = np.zeros(175, dtype=np.float64)
-        rows[rank] = np.concatenate([zh, [delta, rank], oh])
+def _tx_rows(chain: PublicChain, tx_ids: list[int]) -> np.ndarray:
+    """[zero_hop | one_hop] per tx_id; a ring-less row zero-fills its one-hop block."""
+    rows = np.zeros((len(tx_ids), N_FEATURES), dtype=np.float64)
+    for row, tx in zip(rows, map(chain.transactions.get, tx_ids)):
+        row[:7] = zero_hop(tx)
+        if tx.rings:
+            row[7:] = one_hop(tx, chain)
     return rows
 
 
 @dataclass
 class CandidateTable:
-    """Stacked candidate rows for every ring of every transfer."""
+    """Candidate rows of every transfer ring, rings in (tx_id, ring_index)
+    order, each ring's rows contiguous and in candidate_index order 0, 1, ..."""
 
-    keys: list[tuple[int, int, int]]  # (tx_id, ring_index, candidate_index)
+    keys: np.ndarray  # (rows, 3) int64: tx_id, ring_index, candidate_index
     names: tuple[str, ...]
     raw: np.ndarray
 
+    def __post_init__(self):
+        self.keys = np.asarray(self.keys, dtype=np.int64).reshape(-1, 3)
+        step = np.diff(self.keys, axis=0)
+        next_ring = (step[:, 0] > 0) | (step[:, 0] == 0) & (step[:, 1] > 0)
+        ok = np.where(self.keys[1:, 2] == 0, next_ring, (step == (0, 0, 1)).all(axis=1))
+        bad = np.flatnonzero(~np.r_[self.keys[:1, 2] == 0, ok])
+        if bad.size:
+            raise SchemaError(f"tx_id {self.keys[bad[0], 0]} ring {self.keys[bad[0], 1]}:"
+                              " rows out of ring order", field="candidate_index")
+
 
 def candidate_table(chain: PublicChain) -> CandidateTable:
-    cache: dict[int, np.ndarray] = {}
-    keys: list[tuple[int, int, int]] = []
-    blocks: list[np.ndarray] = []
-    for tx_id in chain.transfer_ids():
-        tx = chain.transactions[tx_id]
-        for ring_i in range(len(tx.rings)):
-            rows = candidate_features(tx, ring_i, chain, one_hop_cache=cache)
-            blocks.append(rows)
-            keys.extend((tx_id, ring_i, c) for c in range(rows.shape[0]))
-    if not blocks:
+    """Per ring member, its creating tx's [zero_hop | one_hop] row with
+    delta_time (spend minus creation) and age_rank (candidate index, 0 =
+    oldest) between the blocks; a dangling member has zeros but age_rank."""
+    rings = [(tx, ring_i, ring)
+             for tx in map(chain.transactions.get, chain.transfer_ids())
+             for ring_i, ring in enumerate(tx.rings)]
+    if not rings:
         raise EmptyChain("no rings to build candidates from")
-    return CandidateTable(keys=keys, names=CANDIDATE_NAMES, raw=np.vstack(blocks))
+    sizes = [len(ring) for _, _, ring in rings]
+    keys = np.repeat([(tx.tx_id, ring_i, 0) for tx, ring_i, _ in rings], sizes, axis=0)
+    keys[:, 2] = np.arange(len(keys)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    made_by = np.array([-1 if (t := chain.outputs[oid].created_by_tx) is None else t
+                        for _, _, ring in rings for oid in ring], dtype=np.int64)
+    creators = np.unique(made_by[made_by >= 0])
+    # creator rows with room for delta_time and age_rank, then a zero row
+    profiles = np.zeros((creators.size + 1, len(CANDIDATE_NAMES)), dtype=np.float64)
+    profiles[:-1, np.r_[0:7, 9:len(CANDIDATE_NAMES)]] = _tx_rows(chain, creators.tolist())
+    raw = profiles[np.where(made_by >= 0, np.searchsorted(creators, made_by), -1)]
+    spent_at = np.repeat([tx.timestamp for tx, _, _ in rings], sizes)
+    raw[:, 7] = np.where(made_by >= 0, spent_at - raw[:, 0], 0.0)
+    raw[:, 8] = keys[:, 2]
+    return CandidateTable(keys=keys, names=CANDIDATE_NAMES, raw=raw)
 
 
 @dataclass
@@ -257,44 +255,32 @@ def ring_pair_correlation(chain: PublicChain, binning: str = "by_rank",
         bins = 24 if binning == "by_hour_of_day" else max(
             max(len(r) for r in tx.rings) for tx in two_ring)
 
-    cells: dict[tuple[int, int], list[tuple[float, float]]] = {}
+    pairs = []  # (i, j, creation times of member i of ring one and j of ring two)
     for tx in two_ring:
-        times = [
-            [float(chain.creating_tx(oid).timestamp) if chain.creating_tx(oid) else None
-             for oid in ring]
-            for ring in tx.rings
-        ]
-        for i, ti in enumerate(times[0]):
-            if ti is None:
-                continue
-            for j, tj in enumerate(times[1]):
-                if tj is None:
-                    continue
-                if binning == "by_rank":
-                    if i >= bins or j >= bins:
-                        continue
-                    key = (i, j)
-                else:
-                    key = (int(ti) % _DAY * bins // _DAY,
-                           int(tj) % _DAY * bins // _DAY)
-                cells.setdefault(key, []).append((ti, tj))
-
-    values = np.full((bins, bins), np.nan)
-    support = np.zeros((bins, bins), dtype=np.int64)
-    for (i, j), pairs in cells.items():
-        support[i, j] = len(pairs)
-        if len(pairs) < 2:
+        known = [[(k, c.timestamp) for k, oid in enumerate(ring)
+                  if (c := chain.creating_tx(oid))] for ring in tx.rings]
+        pairs += [(i, j, ti, tj) for i, ti in known[0] for j, tj in known[1]]
+    i, j, ti, tj = np.array(pairs, dtype=np.int64).reshape(-1, 4).T
+    if binning == "by_hour_of_day":
+        i, j = ti % _DAY * bins // _DAY, tj % _DAY * bins // _DAY
+    keep = (i < bins) & (j < bins)
+    cell = (i * bins + j)[keep]
+    support = np.bincount(cell, minlength=bins * bins)
+    # each cell's (x, y) pairs in the order met above
+    xy = np.stack([ti, tj], axis=1)[keep][np.argsort(cell, kind="stable")]
+    values = np.full(bins * bins, np.nan)
+    for c, pair in enumerate(np.split(xy.astype(np.float64), np.cumsum(support)[:-1])):
+        if len(pair) < 2:
             continue
-        arr = np.asarray(pairs)
-        x, y = arr[:, 0], arr[:, 1]
+        x, y = pair[:, 0], pair[:, 1]
         sx, sy = x.std(), y.std()
         if sx == 0 or sy == 0:
             # degenerate but fully aligned pairs count as perfect correlation
-            values[i, j] = 1.0 if np.array_equal(x, y) else np.nan
+            values[c] = 1.0 if np.array_equal(x, y) else np.nan
             continue
-        values[i, j] = float(((x - x.mean()) * (y - y.mean())).mean() / (sx * sy))
-    return RingCorrelationMatrix(binning=binning, bins=bins, values=values,
-                                 support=support)
+        values[c] = float(((x - x.mean()) * (y - y.mean())).mean() / (sx * sy))
+    return RingCorrelationMatrix(binning, bins, values.reshape(bins, bins),
+                                 support.reshape(bins, bins))
 
 
 # File formats --------------------------------------------------------------------
@@ -402,22 +388,21 @@ def read_feature_matrix(out_dir: Path) -> FeatureMatrix:
 
 def write_candidates(table: CandidateTable, path: Path) -> None:
     header = ["tx_id", "ring_index", "candidate_index"] + list(table.names)
-    rows = (list(key) + [float(v) for v in row]
-            for key, row in zip(table.keys, table.raw))
+    rows = (key + [float(v) for v in row]
+            for key, row in zip(table.keys.tolist(), table.raw))
     dump_csv(header, rows, path)
 
 
 def read_candidates(path: Path) -> CandidateTable:
     keys, raw, names = load_csv(path, ("tx_id", "ring_index", "candidate_index"))
-    return CandidateTable(keys=[tuple(k) for k in keys.astype(np.int64).tolist()],
-                          names=names, raw=raw)
+    try:
+        return CandidateTable(keys=keys, names=names, raw=raw)
+    except SchemaError as err:
+        raise SchemaError(f"{path}: {err}") from None
 
 
 def write_correlation(mat: RingCorrelationMatrix, path: Path) -> None:
-    rows = []
-    for i in range(mat.bins):
-        for j in range(mat.bins):
-            v = mat.values[i, j]
-            rows.append([i, j, "" if np.isnan(v) else float(v),
-                         int(mat.support[i, j])])
-    dump_csv(["bin_i", "bin_j", "value", "support"], rows, path)
+    dump_csv(["bin_i", "bin_j", "value", "support"],
+             ([i, j, "" if np.isnan(v) else float(v), int(n)] for (i, j), v, n
+              in zip(np.ndindex(mat.bins, mat.bins), mat.values.flat, mat.support.flat)),
+             path)

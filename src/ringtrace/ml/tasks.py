@@ -93,34 +93,32 @@ def spoof_task(table: CandidateTable, real_indices: dict[int, list[int]],
     Candidates of one ring never straddle train and test folds.  The score is
     top-1 ring accuracy: the highest-scored candidate must be the real one,
     ties resolving to the lowest candidate index.  A chance-score control and
-    the 1/ring_size baseline are reported alongside.
+    three guesses (1/ring_size, always the oldest member, always the newest)
+    are reported alongside.
     """
     model_spec = model_spec or ModelSpec("forest", "classify",
                                          class_weight="balanced")
     search = search or SearchSpec(metric="top1")
 
-    keys = table.keys
-    ring_key = {}
-    ring_ids = np.empty(len(keys), dtype=np.int64)
-    for i, (tx_id, ring_i, _cand) in enumerate(keys):
-        ring_ids[i] = ring_key.setdefault((tx_id, ring_i), len(ring_key))
-    real_of = {(tx_id, ring_i): real for tx_id, reals in real_indices.items()
-               for ring_i, real in enumerate(reals)}
-    y = np.array([int(real_of.get((tx_id, ring_i)) == cand)
-                  for tx_id, ring_i, cand in keys], dtype=np.int64)
-    found = np.bincount(ring_ids, weights=y, minlength=len(ring_key))
-    if (found != 1).any():
-        tx_id, ring_i = list(ring_key)[int(np.argmin(found))]
+    starts = np.flatnonzero(table.keys[:, 2] == 0)
+    ring_ids = np.cumsum(table.keys[:, 2] == 0) - 1
+    sizes = np.diff(np.r_[starts, len(table.keys)])
+    # -1 where real_indices lacks the ring
+    real = np.array([(real_indices.get(tx_id, [])[ring_i:] or [-1])[0]
+                     for tx_id, ring_i in table.keys[starts, :2].tolist()])
+    missing = np.flatnonzero((real < 0) | (real >= sizes))
+    if missing.size:
+        tx_id, ring_i = table.keys[starts[missing[0]], :2]
         raise DegenerateLabels(f"no real candidate for tx_id {tx_id} ring {ring_i};"
                                " each ring must have exactly one")
+    y = (table.keys[:, 2] == real[ring_ids]).astype(np.int64)
 
-    # ring row spans, in candidate-index order
-    spans: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * len(ring_key)
-    order = np.argsort(ring_ids, kind="stable")
-    bounds = np.flatnonzero(np.diff(ring_ids[order])) + 1
-    for rid, rows in zip(ring_ids[order][np.r_[0, bounds]],
-                         np.split(order, bounds)):
-        spans[rid] = rows
+    def top1(scores, rows):
+        # the rings of `rows` and each one's first top-scored candidate index
+        rids, local = np.unique(ring_ids[rows], return_inverse=True)
+        grid = np.full((rids.size, sizes.max()), -np.inf)
+        grid[local, table.keys[rows, 2]] = scores
+        return rids, grid.argmax(axis=1)
 
     def evaluate(model, X_te, y_te, test_idx):
         if hasattr(model, "predict_proba"):
@@ -128,18 +126,11 @@ def spoof_task(table: CandidateTable, real_indices: dict[int, list[int]],
             scores = model.predict_proba(X_te)[:, pos]
         else:
             scores = model.predict(X_te)
-        pos_of = {int(r): i for i, r in enumerate(test_idx)}
-        hits = total = 0
-        chance = 0.0
-        for rid in np.unique(ring_ids[test_idx]):
-            rows = spans[rid]
-            if any(int(r) not in pos_of for r in rows):
-                continue  # ring split across folds cannot happen with groups
-            s = scores[[pos_of[int(r)] for r in rows]]
-            hits += int(y[rows[np.argmax(s)]] == 1)
-            total += 1
-            chance += 1.0 / rows.size
-        return {"top1": hits / total, "baseline_top1": chance / total}
+        # groups keep every ring whole within one fold
+        rids, top = top1(scores, test_idx)
+        chance = sum((1.0 / sizes[rids]).tolist())
+        return {"top1": int((top == real[rids]).sum()) / rids.size,
+                "baseline_top1": chance / rids.size}
 
     best_params, result, trials = _resolve(model_spec, table.raw, y, search,
                                            groups=ring_ids, evaluate=evaluate)
@@ -147,19 +138,17 @@ def spoof_task(table: CandidateTable, real_indices: dict[int, list[int]],
     # chance-score control over every ring with seeded random scores
     rng = np.random.default_rng(np.random.SeedSequence(entropy=search.seed,
                                                        spawn_key=(99,)))
-    chance_hits = 0
-    for rows in spans:
-        s = rng.random(rows.size)
-        chance_hits += int(y[rows[np.argmax(s)]] == 1)
-    n_rings = len(spans)
+    _, top = top1(rng.random(len(table.keys)), np.arange(len(table.keys)))
 
     return ModelReport(
         task="spoof", model_family=model_spec.family, best_params=best_params,
         folds=result["folds"], summary=result["summary"],
-        baseline={"top1": float(np.mean([1.0 / s.size for s in spans]))},
+        baseline={"top1": float(np.mean(1.0 / sizes)),
+                  "guess_oldest_top1": float(np.mean(real == 0)),
+                  "guess_newest_top1": float(np.mean(real == sizes - 1))},
         trials=trials,
-        extras={"n_rings": n_rings,
-                "chance_control_top1": chance_hits / n_rings},
+        extras={"n_rings": starts.size,
+                "chance_control_top1": int((top == real).sum()) / starts.size},
     )
 
 

@@ -201,6 +201,35 @@ def test_train_real_index_outside_ring_exit_2(workdir, tmp_path, capsys):
     assert str(path) in err["message"] and f"tx_id {row[0]} " in err["message"]
 
 
+def test_train_real_inputs_missing_middle_ring_exit_2(workdir, tmp_path, capsys):
+    # a ring without a row must not take the index of the ring after it
+    lines = (workdir / "sim" / "real_inputs.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    tx = next(r[0] for r in rows if r[1] == "1")
+    path = tmp_path / "real_inputs.csv"
+    path.write_text("\n".join([lines[0]] + [",".join(r) for r in rows
+                                            if r[:2] != [tx, "0"]]) + "\n")
+    err = _train_error(workdir, tmp_path, capsys, "spoof", real_inputs=path)
+    assert err["error"] == "DegenerateLabels"
+    assert f"tx_id {tx} ring 0;" in err["message"]
+
+
+def test_train_candidates_out_of_order_exit_2(workdir, tmp_path, capsys):
+    lines = (workdir / "fx" / "candidates.csv").read_text().splitlines()
+    lines[1], lines[2] = lines[2], lines[1]  # candidates 0 and 1 of the first ring
+    path = tmp_path / "fx" / "candidates.csv"
+    path.parent.mkdir()
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["train", "--features", str(path.parent), "--task", "spoof",
+                 "--real-inputs", str(workdir / "sim" / "real_inputs.csv"),
+                 "--folds", "2", "--out", str(tmp_path / "t")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "SchemaError"
+    tx = lines[1].split(",")[0]
+    assert err["message"].startswith(f"{path}: tx_id {tx} ring 0: ")
+    assert "candidate_index" in err["message"]
+
+
 def _corrupt(src, dst, column, value, row=2):
     """Copy CSV `src` to `dst` with `column` of data row `row` set to `value`."""
     lines = src.read_text().splitlines()
@@ -293,8 +322,15 @@ def test_truncated_json_input_exit_2(workdir, dump, tmp_path, capsys, argv, sour
     (["validate", "--chain", "{v2}"], "format_version"),
     (["validate", "--chain", "{no_spent_by}"], "spent_by"),
     (["validate", "--chain", "{no_real_index}"], "real_index"),
+    (["simulate", "--economy", "{no_fee}", "--out", "{out}"], "fee"),
+    (["simulate", "--economy", "{no_fee_bogus}", "--out", "{out}"], "fee"),
 ])
 def test_wrong_kind_json_input_exit_2(workdir, tmp_path, capsys, argv, field):
+    economy = json.loads((workdir / "econ" / "economy.json").read_text())
+    del economy["spec"]["sim"]["fee"]
+    (tmp_path / "no_fee.json").write_text(json.dumps(economy))
+    economy["spec"]["sim"]["bogus"] = 1  # unknown keys are ignored, as in every record
+    (tmp_path / "no_fee_bogus.json").write_text(json.dumps(economy))
     chain = json.loads((workdir / "sim" / "chain.json").read_text())
     (tmp_path / "v2.json").write_text(json.dumps({**chain, "format_version": 2}))
     spent_by = chain["outputs"][0].pop("spent_by")
@@ -304,7 +340,8 @@ def test_wrong_kind_json_input_exit_2(workdir, tmp_path, capsys, argv, field):
     (tmp_path / "no_real_index.json").write_text(json.dumps(chain))
     paths = {"pub": workdir / "sim" / "public_chain.json", "out": tmp_path / "out",
              **{name: tmp_path / f"{name}.json"
-                for name in ("v2", "no_spent_by", "no_real_index")}}
+                for name in ("v2", "no_spent_by", "no_real_index", "no_fee",
+                             "no_fee_bogus")}}
     assert main([arg.format(**paths) for arg in argv]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "SchemaError"

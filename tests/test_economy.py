@@ -309,3 +309,5 @@ def test_economy_round_trip():
         spec2, files2 = economy_from_dict(json.loads(json.dumps(d1)))
         assert (spec2, files2) == (spec, files)
         assert economy_to_dict(spec2, files2) == d1
+        d1["spec"]["sim"]["bogus"] = 1  # ignored like any record's unknown key
+        assert economy_from_dict(d1)[0] == spec

@@ -6,6 +6,8 @@ import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringtrace.economy import gen_economy, run_simulation
 from ringtrace.errors import EmptyChain, NoRings, NoTwoRingTxs, SchemaError
@@ -14,7 +16,7 @@ from ringtrace.features import (
     FEATURE_NAMES,
     ONE_HOP_NAMES,
     ZERO_HOP_NAMES,
-    candidate_features,
+    CandidateTable,
     candidate_table,
     featurize_chain,
     invert_normalization,
@@ -27,6 +29,7 @@ from ringtrace.features import (
     write_feature_matrix,
     zero_hop,
 )
+from ringtrace.ingest import dump_to_public_chain, export_dump, parse_dump
 from ringtrace.ledger import PublicChain, PublicOutput, PublicTx, public_view
 from ringtrace.rng import Rng
 
@@ -59,6 +62,17 @@ def sim_public():
     files = gen_economy(spec, Rng(spec.seed))
     chain, _ = run_simulation(files, spec)
     return public_view(chain)
+
+
+@pytest.fixture(scope="module")
+def window_public():
+    """The later half of a dump: early ring members dangle."""
+    spec = small_spec(target=60, seed=14)
+    chain, _ = run_simulation(gen_economy(spec, Rng(spec.seed)), spec)
+    payload = export_dump(public_view(chain))
+    pub, _ = dump_to_public_chain(parse_dump(
+        payload["transactions"][len(payload["transactions"]) // 2:]))
+    return pub
 
 
 # zero_hop --------------------------------------------------------------------
@@ -250,18 +264,69 @@ def test_featurize_on_round_tripped_public_chain(sim_public):
     assert np.array_equal(fm1.raw, fm2.raw)
 
 
-# candidate_features ----------------------------------------------------------
+# candidate_table ---------------------------------------------------------------
+
+
+def check_candidate_rows(pub: PublicChain, step: int = 7) -> np.ndarray:
+    """Every `step`-th row of candidate_table(pub) against its member's
+    creator; returns whether each sampled member dangles."""
+    table = candidate_table(pub)
+    delta, rank = CANDIDATE_NAMES.index("delta_time"), CANDIDATE_NAMES.index("age_rank")
+    assert table.raw.shape == (len(table.keys), len(CANDIDATE_NAMES))
+    assert np.array_equal(table.raw[:, rank], table.keys[:, 2])
+    dangling = []
+    for (tx_id, ring_i, cand), row in zip(table.keys[::step], table.raw[::step]):
+        tx = pub.transactions[tx_id]
+        creator = pub.creating_tx(tx.rings[ring_i][cand])
+        dangling.append(creator is None)
+        if creator is None:
+            want, spent = np.zeros(len(FEATURE_NAMES)), 0
+        else:
+            want = np.concatenate([zero_hop(creator), one_hop(creator, pub)
+                                   if creator.rings else np.zeros(len(ONE_HOP_NAMES))])
+            spent = tx.timestamp - creator.timestamp
+            assert spent > 0
+        assert row[delta] == spent
+        assert np.array_equal(np.delete(row, [delta, rank]), want)
+    return np.array(dangling)
 
 
 def test_candidate_rows_one_per_member(sim_public):
-    tx_id = sim_public.transfer_ids()[10]
-    tx = sim_public.transactions[tx_id]
-    rows = candidate_features(tx, 0, sim_public)
-    assert rows.shape == (len(tx.rings[0]), len(CANDIDATE_NAMES))
-    names = list(CANDIDATE_NAMES)
-    delta = rows[:, names.index("delta_time")]
-    assert np.all(delta > 0)
-    assert list(rows[:, names.index("age_rank")]) == list(range(len(tx.rings[0])))
+    n_members = sum(len(ring) for t in sim_public.transfer_ids()
+                    for ring in sim_public.transactions[t].rings)
+    assert len(candidate_table(sim_public).keys) == n_members
+    assert not check_candidate_rows(sim_public).any()
+
+
+def test_candidate_rows_of_dump_window_with_dangling_members(window_public):
+    dangling = check_candidate_rows(window_public, step=1)
+    assert dangling.any() and not dangling.all()
+
+
+@settings(max_examples=8)
+@given(st.randoms(use_true_random=False))
+def test_candidate_table_ignores_storage_order(sim_public, rnd):
+    txs, outs = list(sim_public.transactions.items()), list(sim_public.outputs.items())
+    rnd.shuffle(txs)
+    rnd.shuffle(outs)
+    shuffled = PublicChain(blocks=sim_public.blocks, transactions=dict(txs),
+                           outputs=dict(outs))
+    a, b = candidate_table(sim_public), candidate_table(shuffled)
+    assert a.keys.tobytes() == b.keys.tobytes() and a.raw.tobytes() == b.raw.tobytes()
+
+
+def test_candidate_table_rejects_rings_out_of_order():
+    ok = [(5, 0, 0), (5, 0, 1), (5, 1, 0), (6, 0, 0)]
+    CandidateTable(keys=ok, names=("x",), raw=np.zeros((4, 1)))
+    for keys, where in (
+            ([(5, 0, 1), (5, 0, 0), (5, 1, 0), (6, 0, 0)], "tx_id 5 ring 0"),
+            ([(5, 0, 0), (5, 1, 1), (5, 1, 0), (6, 0, 0)], "tx_id 5 ring 1"),
+            ([(5, 0, 0), (5, 0, 1), (5, 0, 0), (6, 0, 0)], "tx_id 5 ring 0"),
+            ([(5, 0, 0), (5, 1, 0), (5, 0, 0), (6, 0, 0)], "tx_id 5 ring 0"),
+            ([(5, 0, 0), (5, 0, 1), (5, 1, 0), (6, 0, 2)], "tx_id 6 ring 0")):
+        with pytest.raises(SchemaError, match=where) as err:
+            CandidateTable(keys=keys, names=("x",), raw=np.zeros((4, 1)))
+        assert err.value.field == "candidate_index"
 
 
 def test_candidate_table_covers_every_ring(sim_public):
@@ -326,6 +391,34 @@ def test_null_hypothesis_monte_carlo():
     assert np.nanmax(np.abs(hours.values)) < 0.05
 
 
+@pytest.mark.parametrize("chain_name, binning, bins", [
+    ("sim_public", "by_rank", None), ("sim_public", "by_rank", 4),
+    ("sim_public", "by_hour_of_day", 6), ("window_public", "by_hour_of_day", 24),
+])
+def test_ring_pair_correlation_matches_pair_loop(request, chain_name, binning, bins):
+    chain = request.getfixturevalue(chain_name)
+    mat = ring_pair_correlation(chain, binning=binning, bins=bins)
+    cells = {}
+    for _, tx in sorted(chain.transactions.items()):
+        if len(tx.rings) != 2:
+            continue
+        for i, a in enumerate(map(chain.creating_tx, tx.rings[0])):
+            for j, b in enumerate(map(chain.creating_tx, tx.rings[1])):
+                if a is None or b is None:
+                    continue
+                key = (i, j) if binning == "by_rank" else tuple(
+                    t % 86_400 * mat.bins // 86_400 for t in (a.timestamp, b.timestamp))
+                if max(key) < mat.bins:
+                    cells.setdefault(key, []).append((a.timestamp, b.timestamp))
+    assert mat.support.sum() == sum(len(p) for p in cells.values())
+    for (i, j), pairs in cells.items():
+        assert mat.support[i, j] == len(pairs)
+        x, y = zip(*pairs)
+        if len(pairs) > 1 and len(set(x)) > 1 and len(set(y)) > 1:
+            assert mat.values[i, j] == pytest.approx(statistics.correlation(x, y),
+                                                     rel=1e-9, abs=1e-12)
+
+
 def test_no_two_ring_txs():
     chain = build_public([10, 20], [[[0, 1]]], [100])
     with pytest.raises(NoTwoRingTxs):
@@ -345,7 +438,7 @@ def test_feature_files_round_trip_bit_identical(sim_public, tmp_path):
     table = candidate_table(sim_public)
     write_candidates(table, tmp_path / "candidates.csv")
     back = read_candidates(tmp_path / "candidates.csv")
-    assert back.keys == table.keys and back.names == table.names
+    assert np.array_equal(back.keys, table.keys) and back.names == table.names
     assert np.array_equal(back.raw, table.raw)
 
 

@@ -84,6 +84,27 @@ def test_spoof_rejects_multiple_reals():
                    SearchSpec(budget=1, folds=2, seed=1))
 
 
+def test_spoof_unequal_rings_chance_control_and_guesses():
+    # rings of 1 to 8 members, three rings per transaction
+    rng = np.random.default_rng(7)
+    sizes = rng.integers(1, 9, size=200)
+    keys = [(r // 3, r % 3, c) for r, n in enumerate(sizes) for c in range(n)]
+    reals = [int(rng.integers(n)) for n in sizes]
+    real = {}
+    for r, i in enumerate(reals):
+        real.setdefault(r // 3, []).append(i)
+    table = CandidateTable(keys=keys, names=("x",), raw=rng.normal(size=(len(keys), 1)))
+    rep = spoof_task(table, real, ModelSpec("forest", "classify", {"n_trees": 2}),
+                     SearchSpec(budget=1, folds=2, metric="top1", seed=5))
+    draws = np.random.default_rng(np.random.SeedSequence(entropy=5, spawn_key=(99,)))
+    hits = sum(int(np.argmax(draws.random(n)) == i) for n, i in zip(sizes, reals))
+    assert rep.extras["chance_control_top1"] == hits / len(sizes)
+    assert rep.baseline["top1"] == pytest.approx(np.mean(1 / sizes))
+    assert rep.baseline["guess_oldest_top1"] == np.mean([i == 0 for i in reals])
+    assert rep.baseline["guess_newest_top1"] == np.mean(
+        [i == n - 1 for n, i in zip(sizes, reals)])
+
+
 # group ------------------------------------------------------------------------
 
 
