@@ -26,7 +26,7 @@ model = ModelSpec("forest", "classify",
                    "min_samples_split": 8},
                   class_weight="balanced")
 report = spoof_task(table, truth.real_indices, model,
-                    SearchSpec(budget=1, folds=2, metric="top1", seed=11))
+                    SearchSpec(budget=1, folds=2, seed=11))
 
 print(f"\nrings evaluated: {report.extras['n_rings']}")
 print(f"top-1 ring accuracy: {report.summary['top1']['mean']:.3f}")

@@ -30,7 +30,7 @@ print(f"transfers: {len(y)}, pool sizes: {np.bincount(y)}")
 
 model = ModelSpec("forest", "classify", {"n_trees": 30, "max_depth": 10})
 report = group_task(fm, y, model,
-                    SearchSpec(budget=1, folds=5, metric="accuracy", seed=5))
+                    SearchSpec(budget=1, folds=5, seed=5))
 
 print(f"\n5-fold accuracy: {report.summary['accuracy']['mean']:.3f} "
       f"(sd {report.summary['accuracy']['sd']:.3f})")

@@ -26,7 +26,7 @@ targets = np.array([truth.labels[t].intended_amount for t in fm.tx_ids],
 print(f"targets: mean={targets.mean():.1f} sd={targets.std():.1f}")
 
 model = ModelSpec("forest", "regress", {"n_trees": 30, "max_depth": 10})
-search = SearchSpec(budget=1, folds=5, metric="r2", seed=9)
+search = SearchSpec(budget=1, folds=5, seed=9)
 report = value_task(fm, targets, model, search)
 print(f"\nhonest r2 over 5 folds: {report.summary['r2']['mean']:.3f}")
 print(f"mean-predictor baseline on train folds: {report.baseline['r2_train']}")

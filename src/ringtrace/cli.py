@@ -36,6 +36,10 @@ TASK_DEFAULTS = {
 }
 
 
+BUDGET_HELP = ("search trials: trial 0 is the task defaults, then BUDGET-1 "
+               "random draws around them; trials.csv logs every trial")
+
+
 class CliError(RingtraceError):
     """Anticipated command failure; maps to exit code 2."""
 
@@ -107,6 +111,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_featurize(args) -> int:
+    if args.bins is not None and args.bins < 1:
+        raise CliError("--bins must be >= 1")
     path = _require_file(args.chain, "public chain")
     pub = ledger.load_public_chain(path)
     edge_modes = [m.strip() for m in args.edges.split(",") if m.strip()]
@@ -179,9 +185,7 @@ def _read_real_indices(path: Path) -> dict[int, list[int]]:
 def cmd_train(args) -> int:
     if args.budget < 1:
         raise CliError("search budget must be >= 1")
-    search = SearchSpec(budget=args.budget, folds=args.folds, seed=args.seed,
-                        metric="top1" if args.task == "spoof"
-                        else "r2" if args.task == "value" else "accuracy")
+    search = SearchSpec(budget=args.budget, folds=args.folds, seed=args.seed)
     model_spec = _model_spec(args.task, args.model, args.seed, jobs=args.jobs)
     out = Path(args.out)
 
@@ -224,8 +228,7 @@ def cmd_ingest(args) -> int:
     parsed = ing.parse_dump(_require_file(args.dump, "dump"))
     labels = ing.load_labels(_require_file(args.labels, "labels"))
     model_spec = _model_spec("external", args.model, args.seed)
-    search = SearchSpec(budget=args.budget, folds=args.folds, seed=args.seed,
-                        metric="accuracy")
+    search = SearchSpec(budget=args.budget, folds=args.folds, seed=args.seed)
     report, fm = ing.external_pipeline(parsed, labels, model_spec, search)
     out = Path(args.out)
     save_report(report, out)
@@ -298,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", required=True, choices=["spoof", "group", "value"])
     p.add_argument("--model", default="forest",
                    choices=["forest", "mlp", "linear"])
-    p.add_argument("--budget", type=int, default=1)
+    p.add_argument("--budget", type=int, default=1, help=BUDGET_HELP)
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1,
@@ -310,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump", required=True, help="xmr-dump.json")
     p.add_argument("--labels", required=True, help="labels.csv (tx_hash,label)")
     p.add_argument("--model", default="forest", choices=["forest", "mlp"])
-    p.add_argument("--budget", type=int, default=1)
+    p.add_argument("--budget", type=int, default=1, help=BUDGET_HELP)
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

@@ -86,11 +86,11 @@ def parse_dump(path_or_payload) -> ParsedDump:
         if tx_hash in seen:
             raise SchemaError(f"duplicate tx_hash {tx_hash!r}", record=i,
                               field="tx_hash")
-        height = _need(rec, i, "block_height", int)
-        timestamp = _need(rec, i, "timestamp", int)
-        num_outputs = _need(rec, i, "num_outputs", int)
-        if height < 0 or timestamp < 0 or num_outputs < 0:
-            raise SchemaError("negative value", record=i, field="block_height")
+        fields = {key: _need(rec, i, key, int)
+                  for key in ("block_height", "timestamp", "num_outputs")}
+        for key, value in fields.items():
+            if value < 0:
+                raise SchemaError("negative value", record=i, field=key)
         raw_rings = _need(rec, i, "rings", list)
         rings: list[list[tuple[str, int]]] = []
         for ring in raw_rings:
@@ -110,9 +110,7 @@ def parse_dump(path_or_payload) -> ParsedDump:
                 members.append((mh, mi))
             rings.append(members)
         seen[tx_hash] = i
-        txs.append(ExternalTx(tx_hash=tx_hash, block_height=height,
-                              timestamp=timestamp, rings=rings,
-                              num_outputs=num_outputs))
+        txs.append(ExternalTx(tx_hash=tx_hash, rings=rings, **fields))
 
     by_hash = {t.tx_hash: t for t in txs}
     dangling: list[tuple[str, int]] = []
@@ -258,7 +256,7 @@ def external_pipeline(parsed: ParsedDump, labels: dict[str, str],
     """
     model_spec = model_spec or ModelSpec("forest", "classify",
                                          class_weight="balanced")
-    search = search or SearchSpec(metric="accuracy")
+    search = search or SearchSpec()
     pub, hashes = dump_to_public_chain(parsed)
     fm = featurize_chain(pub)
     joined = join_labels(parsed, labels)
@@ -268,7 +266,7 @@ def external_pipeline(parsed: ParsedDump, labels: dict[str, str],
         raise DegenerateLabels("need both labeled and unlabeled transactions")
 
     best_params, result, trials, importances = search_fit_rank(
-        model_spec, fm, y, search)
+        model_spec, fm, y, search, "accuracy")
 
     report = ModelReport(
         task="external_label", model_family=model_spec.family,

@@ -1,22 +1,20 @@
-"""K-fold evaluation and randomized hyperparameter search.
+"""K-fold evaluation.
 
 Normalization statistics are fit on train folds only and applied to the held
-out fold, so test rows never influence the transform.  Folds, sampled
-configurations, and model seeds all derive from the search seed.
+out fold, so test rows never influence the transform.  Folds and model seeds
+derive from the search seed.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import Diverged, TooFewSamples
+from ..errors import TooFewSamples
 from ..features import apply_normalization, normalize_columns
 from .forest import ForestHyperParams, train_forest
 from .linear import LinearEpsHyperParams, train_linear_epsilon
 from .metrics import accuracy, precision_recall, r_squared
 from .mlp import MlpHyperParams, train_mlp
-
-_EPS = 1e-12
 
 
 @dataclass
@@ -32,7 +30,6 @@ class ModelSpec:
 class SearchSpec:
     budget: int = 1
     folds: int = 5
-    metric: str = "accuracy"  # accuracy | r2 | top1
     seed: int = 0
 
 
@@ -162,78 +159,3 @@ def summarize_folds(fold_rows: list[dict]) -> dict:
                     summary[metric][cls] = {"mean": None, "sd": None,
                                             "defined_folds": 0}
     return summary
-
-
-DEFAULT_SPACES = {
-    "forest": {
-        "max_depth": ("choice", [None] + list(range(3, 21))),
-        "max_features": ("choice", ["sqrt", 0.1, 0.25, 0.5, 0.75, 1.0]),
-        "min_samples_split": ("int", 2, 20),
-    },
-    "mlp": {
-        "hidden_units": ("int", 10, 30),
-        "learning_rate": ("log", 1e-4, 1e-1),
-    },
-    "linear": {
-        "learning_rate": ("log", 1e-4, 1e-1),
-        "epsilon": ("log", 1e-2, 1e1),
-        "l2": ("log", 1e-6, 1e-1),
-    },
-}
-
-
-def sample_params(space: dict, rng: np.random.Generator) -> dict:
-    out = {}
-    for name in sorted(space):
-        kind, *args = space[name]
-        if kind == "int":
-            lo, hi = args
-            out[name] = int(rng.integers(lo, hi + 1))
-        elif kind == "log":
-            lo, hi = args
-            out[name] = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
-        elif kind == "choice":
-            options = args[0]
-            out[name] = options[int(rng.integers(len(options)))]
-        else:
-            raise ValueError(f"unknown sampler kind {kind!r}")
-    return out
-
-
-def random_search(model_spec: ModelSpec, X: np.ndarray, y: np.ndarray,
-                  search: SearchSpec, space: dict | None = None,
-                  groups: np.ndarray | None = None, evaluate=None) -> dict:
-    """Sample `budget` configurations, evaluate each with kfold_eval.
-
-    Returns the best trial by `search.metric` (ties keep the earliest trial)
-    plus the full log.  A trial whose training diverges is logged with a
-    null metric instead of aborting the search.
-    """
-    if search.budget < 1:
-        raise ValueError("search budget must be >= 1")
-    if space is None:
-        space = DEFAULT_SPACES[model_spec.family]
-    trials = []
-    best_i = -1
-    best_val = -np.inf
-    for t in range(search.budget):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=search.seed,
-                                                           spawn_key=(21, t)))
-        params = {**model_spec.params, **sample_params(space, rng)}
-        trial_spec = replace(model_spec, params=params)
-        try:
-            result = kfold_eval(trial_spec, X, y, folds=search.folds,
-                                seed=search.seed, groups=groups, evaluate=evaluate)
-            value = result["summary"][search.metric]["mean"]
-        except Diverged as err:
-            result = {"error": str(err)}
-            value = None
-        trials.append({"trial": t, "params": params, "metric": search.metric,
-                       "value": value})
-        if value is not None and value > best_val + _EPS:
-            best_val, best_i = value, t
-            best = {"params": params, "result": result}
-    if best_i < 0:
-        raise Diverged(float("nan"), -1)
-    return {"best_params": trials[best_i]["params"], "best_value": best_val,
-            "best_result": best["result"], "trials": trials}

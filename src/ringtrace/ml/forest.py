@@ -250,11 +250,8 @@ def train_forest(X: np.ndarray, y: np.ndarray, hp: ForestHyperParams,
         _grow(tree, X, y_fit, w, boot, 0, hp, n_classes, rng, w[boot].sum())
         return tree
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            trees = list(pool.map(grow_one, range(hp.n_trees)))
-    else:
-        trees = [grow_one(t) for t in range(hp.n_trees)]
+    with ThreadPoolExecutor(max_workers=max(jobs, 1)) as pool:
+        trees = list(pool.map(grow_one, range(hp.n_trees)))
     return ForestModel(hp=hp, task=task, classes_=classes, trees=trees, n_features=d)
 
 

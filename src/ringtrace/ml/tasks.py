@@ -1,8 +1,9 @@
 """The three attack tasks: real-input recovery, group membership, value.
 
 Each returns a ModelReport: per-fold metrics with mean/SD summaries, the
-winning hyperparameters when a search ran, and an importance ranking when the
-model exposes one.
+winning hyperparameters with the log of the search that picked them, and an
+importance ranking when the model exposes one.  Every task searches: trial 0
+is the task defaults, so a budget of one is a single k-fold evaluation.
 """
 
 import json
@@ -11,13 +12,14 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import ConstantTarget, DegenerateLabels
+from ..errors import ConstantTarget, DegenerateLabels, Diverged
 from ..features import CandidateTable, FeatureMatrix
 from ..ledger import dump_csv, dump_json, record_to_dict
-from .crossval import ModelSpec, SearchSpec, fit_model, kfold_eval, random_search
+from .crossval import ModelSpec, SearchSpec, fit_model, kfold_eval
 from .forest import feature_importance
 
 FORMAT_VERSION = 1
+_EPS = 1e-12
 
 
 @dataclass
@@ -54,32 +56,96 @@ def _ranked_importances(model, names) -> list | None:
     return [(names[i], float(weights[i])) for i in order]
 
 
-def _resolve(model_spec: ModelSpec, X, y, search: SearchSpec,
-             groups=None, evaluate=None) -> tuple[dict, dict, list]:
-    """Run the search when budgeted, else a single k-fold evaluation."""
-    if search.budget > 1:
-        res = random_search(model_spec, X, y, search, groups=groups,
-                            evaluate=evaluate)
-        return res["best_params"], res["best_result"], res["trials"]
-    result = kfold_eval(model_spec, X, y, folds=search.folds, seed=search.seed,
-                        groups=groups, evaluate=evaluate)
-    return dict(model_spec.params), result, []
+DEFAULT_SPACES = {
+    # near the task defaults (depth 12-14, sqrt or 0.15 of the features):
+    # deeper or wider forests cost several times a default fit
+    "forest": {
+        "max_depth": ("int", 8, 14),
+        "max_features": ("choice", ["sqrt", 0.05, 0.1]),
+        "min_samples_split": ("int", 2, 20),
+    },
+    "mlp": {
+        "hidden_units": ("int", 10, 30),
+        "learning_rate": ("log", 1e-4, 1e-1),
+    },
+    "linear": {
+        "learning_rate": ("log", 1e-4, 1e-1),
+        "epsilon": ("log", 1e-2, 1e1),
+        "l2": ("log", 1e-6, 1e-1),
+    },
+}
 
 
-def search_fit_rank(model_spec: ModelSpec, fm: FeatureMatrix, y,
-                    search: SearchSpec) -> tuple[dict, dict, list, list | None]:
-    """Search (or one k-fold pass) on `fm.raw`, then rank a forest fit on all rows.
+def sample_params(space: dict, rng: np.random.Generator) -> dict:
+    out = {}
+    for name in sorted(space):
+        kind, *args = space[name]
+        if kind == "int":
+            lo, hi = args
+            out[name] = int(rng.integers(lo, hi + 1))
+        elif kind == "log":
+            lo, hi = args
+            out[name] = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+        elif kind == "choice":
+            options = args[0]
+            out[name] = options[int(rng.integers(len(options)))]
+        else:
+            raise ValueError(f"unknown sampler kind {kind!r}")
+    return out
+
+
+def random_search(model_spec: ModelSpec, X: np.ndarray, y: np.ndarray,
+                  search: SearchSpec, metric: str, space: dict | None = None,
+                  groups: np.ndarray | None = None, evaluate=None) -> dict:
+    """Evaluate `budget` configurations with kfold_eval and keep the best.
+
+    Trial 0 is `model_spec.params` unchanged; trial t >= 1 overrides them
+    with a draw from `space` seeded by (21, t).  The best trial by the
+    summary mean of `metric` wins, ties keeping the earliest.  A trial whose
+    training diverges is logged with a null value; when every trial
+    diverges, the first one's Diverged is raised.
+    """
+    if search.budget < 1:
+        raise ValueError("search budget must be >= 1")
+    if space is None:
+        space = DEFAULT_SPACES.get(model_spec.family, {})  # fit_model rejects unknowns
+    trials, diverged, best = [], [], None
+    for t in range(search.budget):
+        params = dict(model_spec.params)
+        if t:
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=search.seed,
+                                                               spawn_key=(21, t)))
+            params.update(sample_params(space, rng))
+        try:
+            result = kfold_eval(replace(model_spec, params=params), X, y,
+                                folds=search.folds, seed=search.seed, groups=groups,
+                                evaluate=evaluate)
+            value = result["summary"][metric]["mean"]
+        except Diverged as err:
+            diverged.append(err)
+            value = None
+        trials.append({"trial": t, "params": params, "metric": metric, "value": value})
+        if value is not None and (best is None or value > best["best_value"] + _EPS):
+            best = {"best_params": params, "best_value": value, "best_result": result}
+    if best is None:
+        raise diverged[0]
+    return {**best, "trials": trials}
+
+
+def search_fit_rank(model_spec: ModelSpec, fm: FeatureMatrix, y, search: SearchSpec,
+                    metric: str) -> tuple[dict, dict, list, list | None]:
+    """Search on `fm.raw`, then rank a forest fit on all rows.
 
     The final fit's input is `fm.normalized` (what features.csv stores).
     Importances are None for non-forest families.
     """
-    best_params, result, trials = _resolve(model_spec, fm.raw, y, search)
+    res = random_search(model_spec, fm.raw, y, search, metric)
     importances = None
     if model_spec.family == "forest":
-        final = fit_model(replace(model_spec, params=best_params),
+        final = fit_model(replace(model_spec, params=res["best_params"]),
                           fm.normalized, y, seed=search.seed)
         importances = _ranked_importances(final, fm.names)
-    return best_params, result, trials, importances
+    return res["best_params"], res["best_result"], res["trials"], importances
 
 
 # Spoofed/real input recovery -------------------------------------------------
@@ -98,7 +164,7 @@ def spoof_task(table: CandidateTable, real_indices: dict[int, list[int]],
     """
     model_spec = model_spec or ModelSpec("forest", "classify",
                                          class_weight="balanced")
-    search = search or SearchSpec(metric="top1")
+    search = search or SearchSpec()
 
     starts = np.flatnonzero(table.keys[:, 2] == 0)
     ring_ids = np.cumsum(table.keys[:, 2] == 0) - 1
@@ -132,8 +198,8 @@ def spoof_task(table: CandidateTable, real_indices: dict[int, list[int]],
         return {"top1": int((top == real[rids]).sum()) / rids.size,
                 "baseline_top1": chance / rids.size}
 
-    best_params, result, trials = _resolve(model_spec, table.raw, y, search,
-                                           groups=ring_ids, evaluate=evaluate)
+    res = random_search(model_spec, table.raw, y, search, "top1", groups=ring_ids,
+                        evaluate=evaluate)
 
     # chance-score control over every ring with seeded random scores
     rng = np.random.default_rng(np.random.SeedSequence(entropy=search.seed,
@@ -141,12 +207,13 @@ def spoof_task(table: CandidateTable, real_indices: dict[int, list[int]],
     _, top = top1(rng.random(len(table.keys)), np.arange(len(table.keys)))
 
     return ModelReport(
-        task="spoof", model_family=model_spec.family, best_params=best_params,
-        folds=result["folds"], summary=result["summary"],
+        task="spoof", model_family=model_spec.family,
+        best_params=res["best_params"], folds=res["best_result"]["folds"],
+        summary=res["best_result"]["summary"],
         baseline={"top1": float(np.mean(1.0 / sizes)),
                   "guess_oldest_top1": float(np.mean(real == 0)),
                   "guess_newest_top1": float(np.mean(real == sizes - 1))},
-        trials=trials,
+        trials=res["trials"],
         extras={"n_rings": starts.size,
                 "chance_control_top1": int((top == real).sum()) / starts.size},
     )
@@ -163,10 +230,10 @@ def group_task(fm: FeatureMatrix, labels: np.ndarray,
     if np.unique(labels).size < 2:
         raise DegenerateLabels("group task needs at least two groups")
     model_spec = model_spec or ModelSpec("forest", "classify")
-    search = search or SearchSpec(metric="accuracy")
+    search = search or SearchSpec()
 
     best_params, result, trials, importances = search_fit_rank(
-        model_spec, fm, labels, search)
+        model_spec, fm, labels, search, "accuracy")
 
     return ModelReport(
         task="group", model_family=model_spec.family, best_params=best_params,
@@ -187,10 +254,10 @@ def value_task(fm: FeatureMatrix, targets: np.ndarray,
     if np.all(targets == targets[0]):
         raise ConstantTarget("all targets identical")
     model_spec = model_spec or ModelSpec("forest", "regress")
-    search = search or SearchSpec(metric="r2")
+    search = search or SearchSpec()
 
     best_params, result, trials, importances = search_fit_rank(
-        model_spec, fm, targets, search)
+        model_spec, fm, targets, search, "r2")
 
     baseline = {
         "r2_test": result["summary"]["baseline_r2"]["mean"],

@@ -177,7 +177,7 @@ def test_criterion_4_spoof_beats_chance(s03):
                       "min_samples_split": 12},
                      class_weight="balanced")
     report = spoof_task(s03["table"], s03["real"], spec,
-                        SearchSpec(budget=1, folds=2, metric="top1", seed=SEED))
+                        SearchSpec(budget=1, folds=2, seed=SEED))
     n = report.extras["n_rings"]
     p_hat = report.summary["top1"]["mean"]
     lo = p_hat - 1.96 * math.sqrt(p_hat * (1 - p_hat) / n)
@@ -221,8 +221,7 @@ def test_criterion_5_group_membership():
     y = np.array([gt.labels[t].receiver_pool for t in fm.tx_ids])
     mspec = ModelSpec("forest", "classify", {"n_trees": 40, "max_depth": 12})
     report = group_task(fm, y, mspec,
-                        SearchSpec(budget=1, folds=5, metric="accuracy",
-                                   seed=SEED))
+                        SearchSpec(budget=1, folds=5, seed=SEED))
     acc = report.summary["accuracy"]["mean"]
     top3 = [name for name, _ in report.feature_importances[:3]]
     time_derived = sum(any(k in name for k in
@@ -240,7 +239,7 @@ def test_criterion_6_value_regression_negative_result(s03):
     targets = np.array([int(s03["labels"][t]["value"]) for t in fm.tx_ids],
                        dtype=np.float64)
     mspec = ModelSpec("forest", "regress", {"n_trees": 40, "max_depth": 12})
-    search = SearchSpec(budget=1, folds=5, metric="r2", seed=SEED)
+    search = SearchSpec(budget=1, folds=5, seed=SEED)
     report = value_task(fm, targets, mspec, search)
     r2 = report.summary["r2"]["mean"]
     baseline_train = report.baseline["r2_train"]

@@ -93,6 +93,15 @@ def test_featurize_true_edges_without_secrets_exit_2(workdir, tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "ModeRequiresSecrets"
 
 
+@pytest.mark.parametrize("bins", ["0", "-1"])
+def test_featurize_bins_below_one_exit_2_writes_nothing(workdir, tmp_path, capsys, bins):
+    code = main(["featurize", "--chain", str(workdir / "sim" / "public_chain.json"),
+                 "--out", str(tmp_path / "fx"), "--bins", bins])
+    assert code == 2
+    assert "--bins" in json.loads(capsys.readouterr().err)["message"]
+    assert not (tmp_path / "fx").exists()
+
+
 def test_featurize_deterministic_across_jobs(workdir, tmp_path):
     for label, jobs in (("j1", "1"), ("j2", "3")):
         assert main(["featurize", "--chain",

@@ -131,16 +131,36 @@ def test_regression_reports_baseline():
 def test_random_search_budget_one_single_eval():
     X, y = blob_data(seed=8, n=80)
     spec = ModelSpec("forest", "classify", {"n_trees": 5})
-    res = random_search(spec, X, y, SearchSpec(budget=1, folds=4, seed=8))
+    res = random_search(spec, X, y, SearchSpec(budget=1, folds=4, seed=8), "accuracy")
     assert len(res["trials"]) == 1
     assert res["best_params"] == res["trials"][0]["params"]
+
+
+def test_budget_one_search_is_kfold_eval():
+    # trial 0 is the spec unchanged: bit for bit one kfold_eval, groups and
+    # task metrics included
+    X, y = blob_data(seed=14, n=90)
+    groups = np.arange(90) // 3
+    spec = ModelSpec("forest", "classify", {"n_trees": 4, "max_depth": 3})
+
+    def evaluate(model, X_te, y_te, test_idx):
+        return {"first_row": float(model.predict_proba(X_te)[0, 1])}
+
+    direct = kfold_eval(spec, X, y, folds=3, seed=14, groups=groups,
+                        evaluate=evaluate)
+    res = random_search(spec, X, y, SearchSpec(budget=1, folds=3, seed=14),
+                        "first_row", groups=groups, evaluate=evaluate)
+    assert res["best_result"] == direct
+    assert res["best_params"] == spec.params
+    assert res["trials"] == [{"trial": 0, "params": spec.params, "metric": "first_row",
+                              "value": direct["summary"]["first_row"]["mean"]}]
 
 
 def test_random_search_best_dominates_log():
     X, y = blob_data(seed=9, n=120)
     spec = ModelSpec("forest", "classify")
     res = random_search(spec, X, y,
-                        SearchSpec(budget=4, folds=3, metric="accuracy", seed=9),
+                        SearchSpec(budget=4, folds=3, seed=9), "accuracy",
                         space={"n_trees": ("int", 3, 10),
                                "max_depth": ("choice", [2, 4, 8])})
     values = [t["value"] for t in res["trials"] if t["value"] is not None]
@@ -150,7 +170,7 @@ def test_random_search_best_dominates_log():
 def test_forest_search_keeps_spec_tree_count():
     X, y = blob_data(seed=12, n=60)
     spec = ModelSpec("forest", "classify", {"n_trees": 3})
-    res = random_search(spec, X, y, SearchSpec(budget=3, folds=2, seed=12))
+    res = random_search(spec, X, y, SearchSpec(budget=3, folds=2, seed=12), "accuracy")
     assert [t["params"]["n_trees"] for t in res["trials"]] == [3, 3, 3]
 
 
@@ -168,8 +188,8 @@ def test_regression_head_starts_at_the_data(family, epochs):
 def test_mlp_hidden_units_sampled_in_range():
     X, y = blob_data(seed=10, n=60)
     spec = ModelSpec("mlp", "classify", {"epochs": 2})
-    res = random_search(spec, X, y, SearchSpec(budget=5, folds=3, seed=10))
-    for t in res["trials"]:
+    res = random_search(spec, X, y, SearchSpec(budget=5, folds=3, seed=10), "accuracy")
+    for t in res["trials"][1:]:
         assert 10 <= t["params"]["hidden_units"] <= 30
 
 
@@ -177,4 +197,4 @@ def test_random_search_rejects_zero_budget():
     X, y = blob_data(n=40)
     with pytest.raises(ValueError):
         random_search(ModelSpec("forest", "classify"), X, y,
-                      SearchSpec(budget=0))
+                      SearchSpec(budget=0), "accuracy")

@@ -65,6 +65,14 @@ def test_missing_timestamp_is_schema_error():
         parse_dump(bad)
 
 
+@pytest.mark.parametrize("field", ["block_height", "timestamp", "num_outputs"])
+def test_negative_count_names_its_field(field):
+    bad = record("aa", 0, 100)
+    bad[field] = -1
+    with pytest.raises(SchemaError, match=f"record 0, field '{field}'"):
+        parse_dump([bad])
+
+
 def test_duplicate_hash_rejected():
     with pytest.raises(SchemaError, match="duplicate"):
         parse_dump([record("aa", 0, 1), record("aa", 1, 2)])

@@ -1,0 +1,73 @@
+"""The names the benchmark harness hooks into must exist and be the ones used.
+
+perfbench/spans.py wraps module attributes by name and perfbench/steps.py
+scales the forests by editing `cli.TASK_DEFAULTS` in place; a rename or a
+copied dict would leave the harness timing or sizing nothing.  The modules
+are imported here without installing any wrapper.
+"""
+
+import importlib
+import importlib.util
+import json
+from pathlib import Path
+
+import numpy as np
+
+from ringtrace import cli
+from ringtrace.features import FeatureMatrix, write_feature_matrix
+from ringtrace.ml import ModelSpec, SearchSpec, tasks
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_attribute_resolves():
+    for layer, module_name, attribute, _ in _load("spans").TRACED:
+        owner = importlib.import_module(module_name)
+        for part in attribute.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), (layer, module_name, attribute)
+
+
+def test_search_calls_the_traced_globals(monkeypatch):
+    calls = []
+
+    def counted(name):
+        inner = getattr(tasks, name)
+        monkeypatch.setattr(tasks, name,
+                            lambda *a, **k: calls.append(name) or inner(*a, **k))
+
+    counted("kfold_eval")
+    counted("fit_model")
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(40, 3))
+    fm = FeatureMatrix(tx_ids=list(range(40)), names=("a", "b", "c"), raw=X)
+    tasks.group_task(fm, X[:, 0] > 0, ModelSpec("forest", "classify", {"n_trees": 2}),
+                     SearchSpec(budget=2, folds=2, seed=3))
+    assert calls == ["kfold_eval", "kfold_eval", "fit_model"]
+
+
+def test_steps_cli_scaling_reaches_cli_main(tmp_path, monkeypatch):
+    steps = _load("steps")
+    for key, params in cli.TASK_DEFAULTS.items():  # restored after the test
+        monkeypatch.setitem(cli.TASK_DEFAULTS, key, dict(params))
+    scaled = cli.TASK_DEFAULTS[("group", "forest")]["n_trees"] // steps.FOREST_SCALE
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(30, 3))
+    write_feature_matrix(FeatureMatrix(tx_ids=list(range(30)), names=("a", "b", "c"),
+                                       raw=X), tmp_path / "fx")
+    (tmp_path / "labels.csv").write_text(
+        "tx_id,receiver_pool\n" + "".join(f"{i},{int(x > 0)}\n"
+                                          for i, x in enumerate(X[:, 0])))
+    steps.cli({"argv": ["train", "--task", "group", "--features", str(tmp_path / "fx"),
+                        "--labels", str(tmp_path / "labels.csv"), "--folds", "2",
+                        "--out", str(tmp_path / "out")]})
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["best_params"]["n_trees"] == scaled

@@ -37,8 +37,7 @@ def test_spoof_planted_rule_recovered():
         n_rings=300, ring_size=5, real_fn=lambda r: r % 5, signal=8.0, seed=1)
     spec = ModelSpec("forest", "classify", {"n_trees": 15, "max_depth": 6},
                      class_weight="balanced")
-    report = spoof_task(table, real, spec, SearchSpec(budget=1, folds=3,
-                                                      metric="top1", seed=1))
+    report = spoof_task(table, real, spec, SearchSpec(budget=1, folds=3, seed=1))
     assert report.summary["top1"]["mean"] >= 0.95
     assert report.baseline["top1"] == pytest.approx(1 / 5)
 
@@ -47,8 +46,7 @@ def test_spoof_chance_control_near_uniform():
     table, real = make_candidate_table(
         n_rings=2000, ring_size=11, real_fn=lambda r: r % 11, signal=0.0, seed=2)
     spec = ModelSpec("forest", "classify", {"n_trees": 3, "max_depth": 2})
-    report = spoof_task(table, real, spec, SearchSpec(budget=1, folds=2,
-                                                      metric="top1", seed=2))
+    report = spoof_task(table, real, spec, SearchSpec(budget=1, folds=2, seed=2))
     chance = report.extras["chance_control_top1"]
     p = 1 / 11
     band = 3 * np.sqrt(p * (1 - p) / 2000)
@@ -67,11 +65,11 @@ def test_spoof_ties_break_to_lowest_index():
     spec = ModelSpec("forest", "classify", {"n_trees": 3})
     real_first = {r: [0] for r in range(n_rings)}
     rep = spoof_task(table, real_first, spec,
-                     SearchSpec(budget=1, folds=2, metric="top1", seed=3))
+                     SearchSpec(budget=1, folds=2, seed=3))
     assert rep.summary["top1"]["mean"] == 1.0
     real_last = {r: [k - 1] for r in range(n_rings)}
     rep = spoof_task(table, real_last, spec,
-                     SearchSpec(budget=1, folds=2, metric="top1", seed=3))
+                     SearchSpec(budget=1, folds=2, seed=3))
     assert rep.summary["top1"]["mean"] == 0.0
 
 
@@ -95,7 +93,7 @@ def test_spoof_unequal_rings_chance_control_and_guesses():
         real.setdefault(r // 3, []).append(i)
     table = CandidateTable(keys=keys, names=("x",), raw=rng.normal(size=(len(keys), 1)))
     rep = spoof_task(table, real, ModelSpec("forest", "classify", {"n_trees": 2}),
-                     SearchSpec(budget=1, folds=2, metric="top1", seed=5))
+                     SearchSpec(budget=1, folds=2, seed=5))
     draws = np.random.default_rng(np.random.SeedSequence(entropy=5, spawn_key=(99,)))
     hits = sum(int(np.argmax(draws.random(n)) == i) for n, i in zip(sizes, reals))
     assert rep.extras["chance_control_top1"] == hits / len(sizes)
@@ -148,8 +146,7 @@ def test_value_leak_column_recovers_target():
     leaked = np.column_stack([X, targets + rng.normal(0, 0.01, 400)])
     fm = make_feature_matrix(leaked)
     spec = ModelSpec("forest", "regress", {"n_trees": 30})
-    report = value_task(fm, targets, spec, SearchSpec(budget=1, folds=5,
-                                                      metric="r2", seed=7))
+    report = value_task(fm, targets, spec, SearchSpec(budget=1, folds=5, seed=7))
     assert report.summary["r2"]["mean"] >= 0.9
     assert report.feature_importances[0][0] == "f5"
 
@@ -160,8 +157,7 @@ def test_value_noise_features_near_zero_r2():
     targets = rng.normal(size=300)
     fm = make_feature_matrix(X)
     spec = ModelSpec("forest", "regress", {"n_trees": 15, "max_depth": 5})
-    report = value_task(fm, targets, spec, SearchSpec(budget=1, folds=5,
-                                                      metric="r2", seed=8))
+    report = value_task(fm, targets, spec, SearchSpec(budget=1, folds=5, seed=8))
     assert report.summary["r2"]["mean"] <= 0.1
     assert abs(report.baseline["r2_train"]) < 1e-12
 
@@ -192,8 +188,7 @@ def test_spoof_task_with_mlp_family():
     spec = ModelSpec("mlp", "classify", {"hidden_units": 10, "epochs": 40,
                                          "learning_rate": 0.05},
                      class_weight="balanced")
-    report = spoof_task(table, real, spec, SearchSpec(budget=1, folds=2,
-                                                      metric="top1", seed=12))
+    report = spoof_task(table, real, spec, SearchSpec(budget=1, folds=2, seed=12))
     assert report.summary["top1"]["mean"] >= 0.9
 
 
@@ -202,12 +197,53 @@ def test_diverged_trials_logged_not_fatal():
     rng = np.random.default_rng(13)
     X = rng.normal(size=(80, 4))
     y = X @ rng.normal(size=4)
-    spec = ModelSpec("mlp", "regress", {"hidden_units": 10, "epochs": 10})
-    res = random_search(spec, X, y,
-                        SearchSpec(budget=6, folds=2, metric="r2", seed=13),
+    spec = ModelSpec("mlp", "regress", {"hidden_units": 10, "epochs": 10,
+                                        "learning_rate": 1e6})
+    res = random_search(spec, X, y, SearchSpec(budget=6, folds=2, seed=13), "r2",
                         space={"learning_rate": ("choice", [1e6, 0.02])})
     assert any(t["value"] is None for t in res["trials"])
     assert res["best_params"]["learning_rate"] == 0.02
+
+
+@pytest.mark.parametrize("budget", [1, 3])
+def test_every_trial_diverged_raises_the_first(budget):
+    from ringtrace.errors import Diverged
+    from ringtrace.ml import kfold_eval, random_search
+    rng = np.random.default_rng(13)
+    X = rng.normal(size=(80, 4))
+    y = X @ rng.normal(size=4)
+    spec = ModelSpec("mlp", "regress", {"hidden_units": 10, "epochs": 10,
+                                        "learning_rate": 1e6})
+    with pytest.raises(Diverged) as direct:
+        kfold_eval(spec, X, y, folds=2, seed=13)
+    with pytest.raises(Diverged) as searched:
+        random_search(spec, X, y, SearchSpec(budget=budget, folds=2, seed=13), "r2",
+                      space={"learning_rate": ("choice", [1e5, 1e6])})
+    assert searched.value.learning_rate == 1e6 and searched.value.epoch >= 0
+    assert str(searched.value) == str(direct.value)
+
+
+@pytest.mark.parametrize("task, metric", [("spoof", "top1"), ("group", "accuracy"),
+                                          ("value", "r2")])
+def test_each_task_searches_on_its_own_metric(task, metric):
+    rng = np.random.default_rng(16)
+    search = SearchSpec(budget=3, folds=2, seed=16)
+    if task == "spoof":
+        table, real = make_candidate_table(40, 4, lambda r: r % 4, signal=3.0, seed=16)
+        spec = ModelSpec("forest", "classify", {"n_trees": 3}, class_weight="balanced")
+        report = spoof_task(table, real, spec, search)
+    else:
+        X = rng.normal(size=(60, 4))
+        spec = ModelSpec("forest", "classify" if task == "group" else "regress",
+                         {"n_trees": 3})
+        run = group_task if task == "group" else value_task
+        report = run(make_feature_matrix(X), X[:, 0] > 0 if task == "group"
+                     else X[:, 0] * 2.0, spec, search)
+    assert [t["trial"] for t in report.trials] == [0, 1, 2]
+    assert {t["metric"] for t in report.trials} == {metric}
+    assert report.trials[0]["params"] == spec.params
+    best = max(report.trials, key=lambda t: t["value"])
+    assert report.summary[metric]["mean"] == best["value"]
 
 
 # report files -------------------------------------------------------------------
