@@ -13,6 +13,7 @@ from pathlib import Path
 
 from .errors import (
     InsufficientFunds,
+    InvalidSimParams,
     ModeRequiresSecrets,
     NoScheduleWarning,
     PoolTooSmall,
@@ -258,6 +259,9 @@ def run_simulation(files: EconomyFile, spec: EconomySpec,
     failure triggers a StalledWarning with partial output returned.
     """
     params = params or spec.sim
+    if params.block_interval < 1:
+        # block times would not advance, so no request would come due
+        raise InvalidSimParams(f"block_interval must be >= 1, got {params.block_interval}")
     rng = rng or Rng(spec.seed)
     sim_rng = rng.fork("simulation")
     interval = params.block_interval

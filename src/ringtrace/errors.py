@@ -25,6 +25,10 @@ class UnknownScenario(RingtraceError):
     """Scenario name outside the s03..s07 presets."""
 
 
+class InvalidSimParams(RingtraceError, ValueError):
+    """A simulation setting outside its valid range."""
+
+
 class ModeRequiresSecrets(RingtraceError):
     """Requested ground-truth edges from a public-only chain."""
 

@@ -9,6 +9,7 @@ storage order.
 
 import csv
 import functools
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -329,8 +330,9 @@ def load_csv(path: Path, keys: tuple[str, ...], names: tuple[str, ...] | None = 
     trailing extras such as coverage are skipped.  Every cell read parses as
     `dtype` (object keeps the text); blank lines are skipped.  A wrong
     header or an unreadable cell raises SchemaError naming the file, the line
-    and the column.  Returns the key columns, the C-contiguous value matrix
-    and the value column names.
+    and the column, and so does a non-finite float (nan, inf, -inf), which
+    would otherwise wipe its column in normalization.  Returns the key
+    columns, the C-contiguous value matrix and the value column names.
     """
     path = Path(path)
     with path.open() as fh:
@@ -355,12 +357,22 @@ def load_csv(path: Path, keys: tuple[str, ...], names: tuple[str, ...] | None = 
             # np.loadtxt numbers rows without blank lines; find the file line
             raise (_bad_cell(path, header, cols, dtype)
                    or SchemaError(f"{path}: {err}")) from None
+    if data.dtype.kind == "f" and not np.isfinite(data).all():
+        raise _bad_cell(path, header, cols, dtype)
     return data[:, :len(keys)], np.ascontiguousarray(data[:, len(keys):]), names
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
 def _bad_cell(path: Path, header: list[str], cols: list[int], dtype) -> SchemaError | None:
-    """The error for the first cell in `cols` that does not parse as `dtype`."""
-    parse = {"f": float, "i": int}.get(np.dtype(dtype).kind, str)
+    """The error for the first cell in `cols` that does not parse as `dtype`
+    (a finite value, for floats)."""
+    parse = {"f": _finite, "i": int}.get(np.dtype(dtype).kind, str)
     with path.open() as fh:
         rows = csv.reader(fh)
         next(rows)
@@ -369,7 +381,8 @@ def _bad_cell(path: Path, header: list[str], cols: list[int], dtype) -> SchemaEr
                 try:
                     parse(row[c])
                 except (IndexError, ValueError):
-                    problem = (f"{row[c]!r} is not {np.dtype(dtype).name}"
+                    finite = "a finite " if parse is _finite else ""
+                    problem = (f"{row[c]!r} is not {finite}{np.dtype(dtype).name}"
                                if c < len(row) else "no value")
                     return SchemaError(f"{path}: line {rows.line_num}: {problem}",
                                        field=header[c])

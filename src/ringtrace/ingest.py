@@ -244,9 +244,8 @@ def join_labels(parsed: ParsedDump, labels: dict[str, str]) -> JoinedDataset:
 # Pipeline --------------------------------------------------------------------
 
 
-def external_pipeline(parsed: ParsedDump, labels: dict[str, str],
-                      model_spec: ModelSpec | None = None,
-                      search: SearchSpec | None = None) -> tuple[ModelReport, FeatureMatrix]:
+def external_pipeline(parsed: ParsedDump, labels: dict[str, str], model_spec: ModelSpec,
+                      search: SearchSpec) -> tuple[ModelReport, FeatureMatrix]:
     """Featurize the dump and classify labeled vs unlabeled transactions.
 
     Rows are ring-bearing transactions, exactly as the native featurization
@@ -254,9 +253,6 @@ def external_pipeline(parsed: ParsedDump, labels: dict[str, str],
     below one.  The report mirrors the group task: per-class precision and
     recall with fold means and SDs, plus the importance ranking.
     """
-    model_spec = model_spec or ModelSpec("forest", "classify",
-                                         class_weight="balanced")
-    search = search or SearchSpec()
     pub, hashes = dump_to_public_chain(parsed)
     fm = featurize_chain(pub)
     joined = join_labels(parsed, labels)

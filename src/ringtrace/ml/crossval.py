@@ -37,8 +37,6 @@ def fit_model(spec: ModelSpec, X: np.ndarray, y: np.ndarray, seed: int):
     params = dict(spec.params)
     params["seed"] = seed
     if spec.family == "forest":
-        if spec.task == "regress":
-            params.setdefault("criterion", "variance")
         hp = ForestHyperParams(**params)
         return train_forest(X, y, hp, task=spec.task,
                             class_weight=spec.class_weight, jobs=spec.jobs)

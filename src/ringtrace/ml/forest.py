@@ -1,9 +1,15 @@
 """Random forest (CART) for classification and regression, built natively.
 
-Split search is vectorized with prefix sums over sorted columns.  Every
+One impurity serves both tasks: the weighted variance of the targets,
+summed over the rows of a target matrix Y that holds the one-hot class rows
+of a classifier (whose summed variance is the Gini impurity; Breiman et al.,
+CART, 1984) or the single target row of a regressor.  Split search is
+vectorized with prefix sums over sorted columns.  Every
 stochastic choice (bootstrap, per-node feature subsets) comes from a stream
 derived from (seed, tree index), so any training order or parallelism yields
-the same forest.  Ties break toward the lower feature index and threshold.
+the same forest.  Split impurities within _EPS tie across features and keep
+the lower feature index; within one feature the lowest computed impurity
+wins, and the lower threshold only on an exact float tie.
 """
 
 import math
@@ -24,7 +30,6 @@ class ForestHyperParams:
     max_depth: int | None = None
     max_features: float | str = "sqrt"
     min_samples_split: int = 2
-    criterion: str = "gini"  # gini | entropy (classification), variance (regression)
     seed: int = 0
 
     def __post_init__(self):
@@ -40,16 +45,6 @@ def _m_features(max_features, d: int) -> int:
     return max(1, int(round(float(max_features) * d)))
 
 
-def _class_impurity(counts: np.ndarray, criterion: str) -> np.ndarray:
-    """Impurity per row of weighted class counts."""
-    total = counts.sum(axis=-1, keepdims=True)
-    p = counts / np.maximum(total, _EPS)
-    if criterion == "gini":
-        return 1.0 - (p * p).sum(axis=-1)
-    logs = np.where(p > 0, np.log2(np.maximum(p, _EPS)), 0.0)
-    return -(p * logs).sum(axis=-1)
-
-
 class _Tree:
     """Flat-array CART tree."""
 
@@ -60,7 +55,7 @@ class _Tree:
         self.threshold: list[float] = []
         self.left: list[int] = []
         self.right: list[int] = []
-        self.value: list[np.ndarray | float] = []
+        self.value: list[np.ndarray] | np.ndarray = []  # per node, mean of Y
         self.importance = np.zeros(n_features)
 
     def add_node(self) -> int:
@@ -90,18 +85,19 @@ class _Tree:
         return idx
 
 
-def _best_split(X, y, w, idx, feats, criterion, n_classes):
-    """Best (feature, threshold, gain) over the candidate features.
+def _best_split(X, Y, w, idx, feats):
+    """Best (impurity_after, feature, threshold, left_order) over `feats`.
 
-    Returns None when no feature admits a valid split.  Classification uses
-    weighted class-count prefix sums; regression uses weighted moment sums.
+    Returns None when no feature admits a valid split.  The impurity of a
+    side is the weighted variance of its targets summed over the rows of Y,
+    from weighted moment prefix sums; over one-hot class rows that is the
+    Gini impurity.
     """
-    n = idx.size
-    best = None  # (impurity_after, feature, threshold, left_mask_order)
-    classify = n_classes is not None
-    yv = y[idx]
+    best = None
+    Yv = Y[:, idx]
     wv = w[idx]
     w_total = wv.sum()
+    y2w = (Yv ** 2).sum(axis=0) * wv
     for f in feats:
         col = X[idx, f]
         order = np.argsort(col, kind="stable")
@@ -110,25 +106,22 @@ def _best_split(X, y, w, idx, feats, criterion, n_classes):
         if not valid.any():
             continue
         ws = wv[order]
-        if classify:
-            onehot = np.zeros((n, n_classes))
-            onehot[np.arange(n), yv[order]] = ws
-            cum = onehot.cumsum(axis=0)[:-1]
-            wl = cum.sum(axis=1)
-            wr = w_total - wl
-            imp_l = _class_impurity(cum, criterion)
-            imp_r = _class_impurity(cum[-1][None, :] + onehot[-1] - cum, criterion)
-        else:
-            ys = yv[order] * ws
-            y2s = yv[order] ** 2 * ws
-            cw = ws.cumsum()[:-1]
+        wl = ws.cumsum()[:-1]
+        wr = w_total - wl
+        div_l, div_r = np.maximum(wl, _EPS), np.maximum(wr, _EPS)
+        msq_l = msq_r = 0.0
+        # 1-D prefix sums per target row; summing the squared means before
+        # the one subtraction keeps a single row's arithmetic that of the
+        # plain moment-sum variance
+        for row in Yv:
+            ys = row[order] * ws
             cy = ys.cumsum()[:-1]
-            cy2 = y2s.cumsum()[:-1]
-            wl, wr = cw, w_total - cw
-            mean_l = cy / np.maximum(wl, _EPS)
-            mean_r = (cy[-1] + ys[-1] - cy) / np.maximum(wr, _EPS)
-            imp_l = cy2 / np.maximum(wl, _EPS) - mean_l ** 2
-            imp_r = (cy2[-1] + y2s[-1] - cy2) / np.maximum(wr, _EPS) - mean_r ** 2
+            msq_l = msq_l + (cy / div_l) ** 2
+            msq_r = msq_r + ((cy[-1] + ys[-1] - cy) / div_r) ** 2
+        y2s = y2w[order]
+        cy2 = y2s.cumsum()[:-1]
+        imp_l = cy2 / div_l - msq_l
+        imp_r = (cy2[-1] + y2s[-1] - cy2) / div_r - msq_r
         after = (wl * imp_l + wr * imp_r) / w_total
         after = np.where(valid, after, np.inf)
         pos = int(np.argmin(after))
@@ -140,19 +133,14 @@ def _best_split(X, y, w, idx, feats, criterion, n_classes):
     return best
 
 
-def _grow(tree: _Tree, X, y, w, idx, depth, hp, n_classes, rng, w_all):
+def _grow(tree: _Tree, X, Y, w, idx, depth, hp, rng, w_all):
     node = tree.add_node()
-    classify = n_classes is not None
+    Yv = Y[:, idx]
     wv = w[idx]
     w_node = wv.sum()
-    if classify:
-        counts = np.bincount(y[idx], weights=wv, minlength=n_classes)
-        tree.value[node] = counts / max(counts.sum(), _EPS)
-        impurity = float(_class_impurity(counts[None, :], hp.criterion)[0])
-    else:
-        mean = float(np.average(y[idx], weights=wv))
-        tree.value[node] = mean
-        impurity = float(np.average((y[idx] - mean) ** 2, weights=wv))
+    mean = (Yv * wv).sum(axis=1) / w_node
+    tree.value[node] = mean
+    impurity = float(((Yv - mean[:, None]) ** 2 * wv).sum() / w_node)
 
     if (idx.size < hp.min_samples_split or impurity <= _EPS
             or (hp.max_depth is not None and depth >= hp.max_depth)):
@@ -161,7 +149,7 @@ def _grow(tree: _Tree, X, y, w, idx, depth, hp, n_classes, rng, w_all):
     d = X.shape[1]
     m = _m_features(hp.max_features, d)
     feats = np.sort(rng.choice(d, size=m, replace=False))
-    split = _best_split(X, y, w, idx, feats, hp.criterion, n_classes)
+    split = _best_split(X, Y, w, idx, feats)
     if split is None:
         return node
     after, f, thr, left_order = split
@@ -173,8 +161,8 @@ def _grow(tree: _Tree, X, y, w, idx, depth, hp, n_classes, rng, w_all):
     right_idx = idx[np.setdiff1d(np.arange(idx.size), left_order, assume_unique=True)]
     tree.feature[node] = int(f)
     tree.threshold[node] = float(thr)
-    tree.left[node] = _grow(tree, X, y, w, left_idx, depth + 1, hp, n_classes, rng, w_all)
-    tree.right[node] = _grow(tree, X, y, w, right_idx, depth + 1, hp, n_classes, rng, w_all)
+    tree.left[node] = _grow(tree, X, Y, w, left_idx, depth + 1, hp, rng, w_all)
+    tree.right[node] = _grow(tree, X, Y, w, right_idx, depth + 1, hp, rng, w_all)
     return node
 
 
@@ -186,26 +174,25 @@ class ForestModel:
     trees: list[_Tree] = field(repr=False, default_factory=list)
     n_features: int = 0
 
+    def _leaf_mean(self, X: np.ndarray) -> np.ndarray:
+        """Per row, the trees' mean of their leaf's target means."""
+        X = np.asarray(X, dtype=np.float64)
+        acc = 0.0
+        for tree in self.trees:
+            acc = acc + tree.value[tree.apply(X)]
+        return acc / len(self.trees)
+
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         if self.task != "classify":
             raise ValueError("probabilities only for classifiers")
-        X = np.asarray(X, dtype=np.float64)
-        acc = np.zeros((X.shape[0], len(self.classes_)))
-        for tree in self.trees:
-            leaves = tree.apply(X)
-            acc += np.stack([tree.value[i] for i in leaves])
-        return acc / len(self.trees)
+        return self._leaf_mean(X)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
+        mean = self._leaf_mean(X)
         if self.task == "classify":
             # argmax takes the first maximum: lowest class index wins ties
-            return self.classes_[np.argmax(self.predict_proba(X), axis=1)]
-        acc = np.zeros(X.shape[0])
-        for tree in self.trees:
-            leaves = tree.apply(X)
-            acc += np.array([tree.value[i] for i in leaves])
-        return acc / len(self.trees)
+            return self.classes_[np.argmax(mean, axis=1)]
+        return mean[:, 0]
 
 
 def train_forest(X: np.ndarray, y: np.ndarray, hp: ForestHyperParams,
@@ -225,6 +212,7 @@ def train_forest(X: np.ndarray, y: np.ndarray, hp: ForestHyperParams,
         raise ValueError("X contains non-finite values")
     n, d = X.shape
 
+    w = np.ones(n)
     if task == "classify":
         classes, y_enc = np.unique(y, return_inverse=True)
         n_classes = len(classes)
@@ -234,20 +222,18 @@ def train_forest(X: np.ndarray, y: np.ndarray, hp: ForestHyperParams,
         if class_weight == "balanced":
             freq = np.bincount(y_enc, minlength=n_classes)
             w = (n / (n_classes * freq))[y_enc]
-        else:
-            w = np.ones(n)
-        y_fit = y_enc
+        Y = np.ascontiguousarray(np.eye(n_classes)[:, y_enc])
     else:
-        classes, n_classes = None, None
-        y_fit = y.astype(np.float64)
-        w = np.ones(n)
+        classes = None
+        Y = y.astype(np.float64)[None, :]
 
     def grow_one(t: int) -> _Tree:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=hp.seed,
                                                            spawn_key=(t,)))
         boot = rng.integers(0, n, size=n)
         tree = _Tree(d)
-        _grow(tree, X, y_fit, w, boot, 0, hp, n_classes, rng, w[boot].sum())
+        _grow(tree, X, Y, w, boot, 0, hp, rng, w[boot].sum())
+        tree.value = np.array(tree.value)
         return tree
 
     with ThreadPoolExecutor(max_workers=max(jobs, 1)) as pool:

@@ -152,8 +152,7 @@ def search_fit_rank(model_spec: ModelSpec, fm: FeatureMatrix, y, search: SearchS
 
 
 def spoof_task(table: CandidateTable, real_indices: dict[int, list[int]],
-               model_spec: ModelSpec | None = None,
-               search: SearchSpec | None = None) -> ModelReport:
+               model_spec: ModelSpec, search: SearchSpec) -> ModelReport:
     """Recover which ring member is the real spend.
 
     Candidates of one ring never straddle train and test folds.  The score is
@@ -162,10 +161,6 @@ def spoof_task(table: CandidateTable, real_indices: dict[int, list[int]],
     three guesses (1/ring_size, always the oldest member, always the newest)
     are reported alongside.
     """
-    model_spec = model_spec or ModelSpec("forest", "classify",
-                                         class_weight="balanced")
-    search = search or SearchSpec()
-
     starts = np.flatnonzero(table.keys[:, 2] == 0)
     ring_ids = np.cumsum(table.keys[:, 2] == 0) - 1
     sizes = np.diff(np.r_[starts, len(table.keys)])
@@ -223,14 +218,11 @@ def spoof_task(table: CandidateTable, real_indices: dict[int, list[int]],
 
 
 def group_task(fm: FeatureMatrix, labels: np.ndarray,
-               model_spec: ModelSpec | None = None,
-               search: SearchSpec | None = None) -> ModelReport:
+               model_spec: ModelSpec, search: SearchSpec) -> ModelReport:
     """Classify the receiver's pool from public features."""
     labels = np.asarray(labels)
     if np.unique(labels).size < 2:
         raise DegenerateLabels("group task needs at least two groups")
-    model_spec = model_spec or ModelSpec("forest", "classify")
-    search = search or SearchSpec()
 
     best_params, result, trials, importances = search_fit_rank(
         model_spec, fm, labels, search, "accuracy")
@@ -247,14 +239,11 @@ def group_task(fm: FeatureMatrix, labels: np.ndarray,
 
 
 def value_task(fm: FeatureMatrix, targets: np.ndarray,
-               model_spec: ModelSpec | None = None,
-               search: SearchSpec | None = None) -> ModelReport:
+               model_spec: ModelSpec, search: SearchSpec) -> ModelReport:
     """Regress the hidden transfer value; the mean predictor is the baseline."""
     targets = np.asarray(targets, dtype=np.float64)
     if np.all(targets == targets[0]):
         raise ConstantTarget("all targets identical")
-    model_spec = model_spec or ModelSpec("forest", "regress")
-    search = search or SearchSpec()
 
     best_params, result, trials, importances = search_fit_rank(
         model_spec, fm, targets, search, "r2")

@@ -289,6 +289,19 @@ def dump(workdir):
     return workdir / "xmr-dump.json"
 
 
+@pytest.mark.parametrize("flag, stored", [("0", 120), ("-5", 120), (None, 0)])
+def test_simulate_block_interval_below_1_exit_2(workdir, tmp_path, capsys, flag, stored):
+    economy = json.loads((workdir / "econ" / "economy.json").read_text())
+    economy["spec"]["sim"]["block_interval"] = stored
+    (tmp_path / "economy.json").write_text(json.dumps(economy))
+    argv = ["simulate", "--economy", str(tmp_path / "economy.json"),
+            "--out", str(tmp_path / "out")]
+    assert main(argv + ([] if flag is None else ["--block-interval", flag])) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InvalidSimParams" and "block_interval" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("text, where, column", [
     ("", "line 1", "tx_hash"),
     ("tx_hash,label\nabc\n", "line 2", "label"),

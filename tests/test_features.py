@@ -456,3 +456,21 @@ def test_feature_csv_without_tx_id_is_schema_error(sim_public, tmp_path):
     with pytest.raises(SchemaError, match="candidates.csv") as err:
         read_candidates(path)
     assert err.value.field == "ring_index"
+
+
+@pytest.mark.parametrize("spelling", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name, column", [("features_raw.csv", "hour_of_day"),
+                                          ("candidates.csv", "member_hour_of_day")])
+def test_non_finite_csv_cell_is_schema_error(sim_public, tmp_path, name, column, spelling):
+    write_feature_matrix(featurize_chain(sim_public), tmp_path)
+    write_candidates(candidate_table(sim_public), tmp_path / "candidates.csv")
+    path = tmp_path / name
+    lines = path.read_text().splitlines(keepends=True)
+    cells = lines[2].split(",")
+    cells[lines[0].rstrip("\n").split(",").index(column)] = spelling
+    lines[2] = ",".join(cells)
+    path.write_text("".join(lines))
+    read = read_feature_matrix if name == "features_raw.csv" else read_candidates
+    with pytest.raises(SchemaError, match=f"{name}: line 3: '{spelling}' is not a finite") as err:
+        read(tmp_path if name == "features_raw.csv" else path)
+    assert err.value.field == column

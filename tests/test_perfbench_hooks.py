@@ -15,7 +15,7 @@ import numpy as np
 
 from ringtrace import cli
 from ringtrace.features import FeatureMatrix, write_feature_matrix
-from ringtrace.ml import ModelSpec, SearchSpec, tasks
+from ringtrace.ml import ForestHyperParams, ModelSpec, SearchSpec, tasks, train_forest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -34,6 +34,17 @@ def test_every_traced_attribute_resolves():
         for part in attribute.split("."):
             owner = getattr(owner, part)
         assert callable(owner), (layer, module_name, attribute)
+
+
+def test_span_counters_read_the_forest_and_the_matrix():
+    spans = _load("spans")
+    X = np.repeat(np.arange(8.0), 5)[:, None]
+    y = (X[:, 0] > 3).astype(int)
+    # depth-1 trees on a separable target: one split, two leaves each
+    model = train_forest(X, y, ForestHyperParams(n_trees=3, max_depth=1, seed=1))
+    assert spans._forest((X, y), model) == {"trees": 3, "nodes": 9}
+    fm = FeatureMatrix(tx_ids=list(range(40)), names=("a",), raw=X)
+    assert spans._rows((), fm) == {"rows": 40}
 
 
 def test_search_calls_the_traced_globals(monkeypatch):
