@@ -110,9 +110,15 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise CliError(f"--jobs must be >= 1, got {jobs}")
+
+
 def cmd_featurize(args) -> int:
     if args.bins is not None and args.bins < 1:
         raise CliError("--bins must be >= 1")
+    _check_jobs(args.jobs)
     path = _require_file(args.chain, "public chain")
     pub = ledger.load_public_chain(path)
     edge_modes = [m.strip() for m in args.edges.split(",") if m.strip()]
@@ -185,6 +191,7 @@ def _read_real_indices(path: Path) -> dict[int, list[int]]:
 def cmd_train(args) -> int:
     if args.budget < 1:
         raise CliError("search budget must be >= 1")
+    _check_jobs(args.jobs)
     search = SearchSpec(budget=args.budget, folds=args.folds, seed=args.seed)
     model_spec = _model_spec(args.task, args.model, args.seed, jobs=args.jobs)
     out = Path(args.out)
@@ -288,8 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["by_rank", "by_hour_of_day"])
     p.add_argument("--bins", type=int, default=None)
     p.add_argument("--jobs", type=int, default=1,
-                   help="recorded in the manifest only: featurization is "
-                        "single-threaded; --jobs bounds forest-training threads")
+                   help="recorded in the manifest only: featurization runs in "
+                        "one process; train's --jobs sets forest worker processes")
     p.set_defaults(func=cmd_featurize)
 
     p = sub.add_parser("train", help="train and evaluate one attack task")
@@ -305,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1,
-                   help="forest-training threads; never changes results")
+                   help="forest worker processes; never changes results")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 

@@ -138,17 +138,19 @@ def normalize_columns(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     means = means + (raw - means).mean(axis=0)  # second pass kills residual
     centered = raw - means
     stds = np.sqrt((centered * centered).mean(axis=0))
-    out = np.zeros_like(raw)
-    nz = stds > 0
-    out[:, nz] = centered[:, nz] / stds[nz]
-    return out, means, stds
+    return _scale(centered, stds), means, stds
 
 
 def apply_normalization(raw: np.ndarray, means: np.ndarray, stds: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(raw, dtype=np.float64)
+    return _scale(np.subtract(raw, means, dtype=np.float64), stds)
+
+
+def _scale(centered: np.ndarray, stds: np.ndarray) -> np.ndarray:
+    """centered / stds in place, with the columns of std 0 zeroed."""
     nz = stds > 0
-    out[:, nz] = (raw[:, nz] - means[nz]) / stds[nz]
-    return out
+    np.divide(centered, stds, out=centered, where=nz)
+    centered[:, ~nz] = 0.0
+    return centered
 
 
 def invert_normalization(normalized: np.ndarray, means: np.ndarray,
@@ -401,9 +403,31 @@ def read_feature_matrix(out_dir: Path) -> FeatureMatrix:
 
 def write_candidates(table: CandidateTable, path: Path) -> None:
     header = ["tx_id", "ring_index", "candidate_index"] + list(table.names)
-    rows = (key + [float(v) for v in row]
-            for key, row in zip(table.keys.tolist(), table.raw))
-    dump_csv(header, rows, path)
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        _write_rows(fh, [*table.keys.T, *table.raw.T])
+
+
+_WRITE_CHUNK = 4096  # rows formatted per write: bounds the text held at once
+
+
+def _write_rows(fh, columns: list[np.ndarray]) -> None:
+    """The rows of int64 or float64 columns as csv.writer writes Python ints
+    and floats (their repr, comma-separated, CRLF-ended), each distinct value
+    of a column formatted once.  Values are told apart by their bits, since
+    0.0 and -0.0 are equal but print differently."""
+    bits = [col.view(np.int64) for col in columns]
+    distinct = [np.unique(b) for b in bits]
+    text = np.array([repr(v) for col, u in zip(columns, distinct)
+                     for v in u.view(col.dtype).tolist()], dtype=object)
+    offsets = np.cumsum([0] + [u.size for u in distinct[:-1]])
+    for start in range(0, columns[0].size, _WRITE_CHUNK):
+        cells = np.column_stack([
+            np.searchsorted(u, b[start:start + _WRITE_CHUNK]) + off
+            for b, u, off in zip(bits, distinct, offsets)])
+        fh.write("".join(",".join(row) + "\r\n" for row in text[cells].tolist()))
 
 
 def read_candidates(path: Path) -> CandidateTable:

@@ -6,15 +6,17 @@ of a classifier (whose summed variance is the Gini impurity; Breiman et al.,
 CART, 1984) or the single target row of a regressor.  Split search is
 vectorized with prefix sums over sorted columns.  Every
 stochastic choice (bootstrap, per-node feature subsets) comes from a stream
-derived from (seed, tree index), so any training order or parallelism yields
-the same forest.  Split impurities within _EPS tie across features and keep
+derived from (seed, tree index), so the trees are independent: with
+jobs > 1 they grow in forked worker processes, which inherit the training
+data and return only the trees, and the forest is the same at any jobs.
+Split impurities within _EPS tie across features and keep
 the lower feature index; within one feature the lowest computed impurity
 wins, and the lower threshold only on an exact float tie.
 """
 
 import math
+import multiprocessing
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -166,6 +168,31 @@ def _grow(tree: _Tree, X, Y, w, idx, depth, hp, rng, w_all):
     return node
 
 
+def _grow_one(work, t: int) -> _Tree:
+    """Tree t of the forest on work = (X, Y, w, hp), from its own stream."""
+    X, Y, w, hp = work
+    n = X.shape[0]
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=hp.seed,
+                                                       spawn_key=(t,)))
+    boot = rng.integers(0, n, size=n)
+    tree = _Tree(X.shape[1])
+    _grow(tree, X, Y, w, boot, 0, hp, rng, w[boot].sum())
+    tree.value = np.array(tree.value)
+    return tree
+
+
+_work = None  # a pool worker's (X, Y, w, hp), set by _set_work at its start
+
+
+def _set_work(*work) -> None:
+    global _work
+    _work = work
+
+
+def _grow_tree(t: int) -> _Tree:
+    return _grow_one(_work, t)
+
+
 @dataclass
 class ForestModel:
     hp: ForestHyperParams
@@ -227,17 +254,14 @@ def train_forest(X: np.ndarray, y: np.ndarray, hp: ForestHyperParams,
         classes = None
         Y = y.astype(np.float64)[None, :]
 
-    def grow_one(t: int) -> _Tree:
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=hp.seed,
-                                                           spawn_key=(t,)))
-        boot = rng.integers(0, n, size=n)
-        tree = _Tree(d)
-        _grow(tree, X, Y, w, boot, 0, hp, rng, w[boot].sum())
-        tree.value = np.array(tree.value)
-        return tree
-
-    with ThreadPoolExecutor(max_workers=max(jobs, 1)) as pool:
-        trees = list(pool.map(grow_one, range(hp.n_trees)))
+    work = (X, Y, w, hp)
+    if jobs > 1 and hp.n_trees > 1:
+        # fork: the workers inherit `work` instead of unpickling it
+        with multiprocessing.get_context("fork").Pool(
+                min(jobs, hp.n_trees), initializer=_set_work, initargs=work) as pool:
+            trees = pool.map(_grow_tree, range(hp.n_trees), chunksize=1)
+    else:
+        trees = [_grow_one(work, t) for t in range(hp.n_trees)]
     return ForestModel(hp=hp, task=task, classes_=classes, trees=trees, n_features=d)
 
 

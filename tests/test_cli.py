@@ -102,6 +102,20 @@ def test_featurize_bins_below_one_exit_2_writes_nothing(workdir, tmp_path, capsy
     assert not (tmp_path / "fx").exists()
 
 
+@pytest.mark.parametrize("command", ["featurize", "train"])
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_exit_2_writes_nothing(workdir, tmp_path, capsys, command, jobs):
+    inputs = (["--chain", str(workdir / "sim" / "public_chain.json")]
+              if command == "featurize" else
+              ["--features", str(workdir / "fx"), "--task", "spoof",
+               "--real-inputs", str(workdir / "sim" / "real_inputs.csv")])
+    code = main([command, *inputs, "--out", str(tmp_path / "out"), "--jobs", jobs])
+    assert code == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "CliError" and "--jobs" in error["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_featurize_deterministic_across_jobs(workdir, tmp_path):
     for label, jobs in (("j1", "1"), ("j2", "3")):
         assert main(["featurize", "--chain",

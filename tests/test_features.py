@@ -1,14 +1,20 @@
 """Featurization against independent oracles."""
 
+import csv
 import dataclasses
 import datetime
+import io
 import statistics
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from ringtrace import features
 from ringtrace.economy import gen_economy, run_simulation
 from ringtrace.errors import EmptyChain, NoRings, NoTwoRingTxs, SchemaError
 from ringtrace.features import (
@@ -17,6 +23,7 @@ from ringtrace.features import (
     ONE_HOP_NAMES,
     ZERO_HOP_NAMES,
     CandidateTable,
+    apply_normalization,
     candidate_table,
     featurize_chain,
     invert_normalization,
@@ -227,6 +234,45 @@ def test_replaced_raw_renormalizes(sim_public):
     part = dataclasses.replace(fm, raw=fm.raw[:, :7], names=fm.names[:7])
     assert np.array_equal(part.normalized, normalize_columns(fm.raw[:, :7])[0])
     assert part.norm_means.shape == part.norm_stds.shape == (7,)
+
+
+def _normalize_reference(raw):
+    """The normalizer as first written: a zero matrix, then the columns of
+    nonzero std."""
+    means = raw.mean(axis=0)
+    means = means + (raw - means).mean(axis=0)
+    centered = raw - means
+    stds = np.sqrt((centered * centered).mean(axis=0))
+    out = np.zeros_like(raw)
+    nz = stds > 0
+    out[:, nz] = centered[:, nz] / stds[nz]
+    return out, means, stds
+
+
+def _apply_reference(raw, means, stds):
+    out = np.zeros_like(raw, dtype=np.float64)
+    nz = stds > 0
+    out[:, nz] = (raw[:, nz] - means[nz]) / stds[nz]
+    return out
+
+
+# few values, so most columns are constant or within an ulp or two of it
+_NEAR_CONSTANT = st.sampled_from([3.7, 3.7000000000000006, 0.1, 1e16, 1e16 + 2.0,
+                                  0.0, -0.0, 5e-324, -1e-300])
+
+
+@settings(max_examples=150)
+@given(arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 6)),
+              elements=_NEAR_CONSTANT | st.floats(-1e6, 1e6)))
+def test_in_place_normalization_matches_the_reference_bit_for_bit(raw):
+    new, reference = normalize_columns(raw), _normalize_reference(raw)
+    for got, want in zip(new, reference):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    # held-out rows: the fitted statistics on other values
+    other = raw[::-1] * 3.0 - 1.0
+    got = apply_normalization(other, new[1], new[2])
+    want = _apply_reference(other, new[1], new[2])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_identical_txs_identical_rows():
@@ -440,6 +486,57 @@ def test_feature_files_round_trip_bit_identical(sim_public, tmp_path):
     back = read_candidates(tmp_path / "candidates.csv")
     assert np.array_equal(back.keys, table.keys) and back.names == table.names
     assert np.array_equal(back.raw, table.raw)
+
+
+def _reference_candidates_csv(table: CandidateTable) -> bytes:
+    """candidates.csv as csv.writer writes the key ints and the raw floats."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["tx_id", "ring_index", "candidate_index"] + list(table.names))
+    writer.writerows(key + [float(v) for v in row]
+                     for key, row in zip(table.keys.tolist(), table.raw))
+    return buf.getvalue().encode()
+
+
+def _candidates_bytes(table: CandidateTable) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        write_candidates(table, Path(tmp) / "candidates.csv")
+        return (Path(tmp) / "candidates.csv").read_bytes()
+
+
+def _ring_keys(rows: int, ring_size: int, first_tx: int, tx_step: int) -> np.ndarray:
+    i = np.arange(rows)
+    return np.column_stack([first_tx + i // ring_size * tx_step,
+                            np.zeros(rows, dtype=np.int64), i % ring_size])
+
+
+_TRICKY = st.sampled_from([0.0, -0.0, 1e-05, 1e16, 5e-324, -5e-324, 0.1, 1.0,
+                           2.0**63, 123456789012345678.0, -2.5])
+
+
+@settings(max_examples=100)
+@given(arrays(np.float64, st.tuples(st.integers(0, 15), st.integers(1, 5)),
+              elements=_TRICKY | st.floats(allow_nan=False, allow_infinity=False)
+              | st.integers(-10**18, 10**18).map(float)),
+       st.integers(1, 4), st.integers(0, 2**62), st.integers(1, 2**20))
+def test_candidates_writer_matches_csv_writer(raw, ring_size, first_tx, tx_step):
+    # both zeros in one column: equal floats that print differently
+    raw = np.vstack([raw, np.zeros(raw.shape[1]), np.full(raw.shape[1], -0.0)])
+    keys = _ring_keys(raw.shape[0], ring_size, first_tx, tx_step)
+    table = CandidateTable(keys, tuple(f"c{j}" for j in range(raw.shape[1])), raw)
+    assert _candidates_bytes(table) == _reference_candidates_csv(table)
+
+
+def test_candidates_writer_across_row_chunks(sim_public):
+    # more rows than one write chunk, rows of a real table between tricky ones
+    real = candidate_table(sim_public).raw
+    rng = np.random.default_rng(15)
+    tricky = rng.choice([0.0, -0.0, 1e-05, 1e16, 5e-324, 0.1], size=(4000, real.shape[1]))
+    raw = np.vstack([tricky, real, tricky[::-1], real])
+    table = CandidateTable(_ring_keys(raw.shape[0], 11, 10**12, 3),
+                           CANDIDATE_NAMES, raw)
+    assert raw.shape[0] > 2 * features._WRITE_CHUNK
+    assert _candidates_bytes(table) == _reference_candidates_csv(table)
 
 
 def test_feature_csv_without_tx_id_is_schema_error(sim_public, tmp_path):

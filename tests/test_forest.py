@@ -89,6 +89,27 @@ def test_parallel_training_identical():
     assert np.array_equal(p1, p2)
 
 
+@pytest.mark.parametrize("task, class_weight", [("classify", "balanced"),
+                                                ("regress", None)])
+@pytest.mark.parametrize("n_trees", [1, 2, 5])
+def test_worker_pool_grows_the_same_trees(task, class_weight, n_trees):
+    # every array of every tree, at more, as many or fewer workers than trees
+    rng = np.random.default_rng(12)
+    X = rng.normal(size=(160, 6))
+    signal = X[:, 0] + 0.5 * X[:, 3] + rng.normal(0, 0.5, 160)
+    y = (signal > 0.7).astype(int) if task == "classify" else signal
+    hp = ForestHyperParams(n_trees=n_trees, max_depth=6, seed=12)
+    ref = train_forest(X, y, hp, task=task, class_weight=class_weight, jobs=1)
+    assert sum(len(t.feature) for t in ref.trees) > n_trees  # the trees split
+    for jobs in (2, 3, 4):
+        got = train_forest(X, y, hp, task=task, class_weight=class_weight, jobs=jobs)
+        assert len(got.trees) == n_trees
+        for a, b in zip(ref.trees, got.trees):
+            for name in ("feature", "threshold", "left", "right", "value",
+                         "importance"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
 def test_regressor_fits_step_function():
     rng = np.random.default_rng(9)
     X = rng.uniform(-1, 1, size=(400, 3))
