@@ -58,7 +58,7 @@ def _require_file(path: str | None, what: str) -> Path:
     return p
 
 
-def _model_spec(task: str, model: str, seed: int, jobs: int = 1) -> ModelSpec:
+def _model_spec(task: str, model: str, jobs: int = 1) -> ModelSpec:
     params = dict(TASK_DEFAULTS.get((task, model), {}))
     ml_task = "regress" if task == "value" else "classify"
     if model == "linear" and ml_task != "regress":
@@ -193,7 +193,7 @@ def cmd_train(args) -> int:
         raise CliError("search budget must be >= 1")
     _check_jobs(args.jobs)
     search = SearchSpec(budget=args.budget, folds=args.folds, seed=args.seed)
-    model_spec = _model_spec(args.task, args.model, args.seed, jobs=args.jobs)
+    model_spec = _model_spec(args.task, args.model, jobs=args.jobs)
     out = Path(args.out)
 
     if args.task == "spoof":
@@ -234,7 +234,7 @@ def cmd_ingest(args) -> int:
         raise CliError("search budget must be >= 1")
     parsed = ing.parse_dump(_require_file(args.dump, "dump"))
     labels = ing.load_labels(_require_file(args.labels, "labels"))
-    model_spec = _model_spec("external", args.model, args.seed)
+    model_spec = _model_spec("external", args.model)
     search = SearchSpec(budget=args.budget, folds=args.folds, seed=args.seed)
     report, fm = ing.external_pipeline(parsed, labels, model_spec, search)
     out = Path(args.out)

@@ -9,7 +9,7 @@ features and a per-row coverage fraction for filtering.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,7 @@ from .ledger import PublicChain, PublicOutput, PublicTx, dump_json, load_json
 from .ml.crossval import ModelSpec, SearchSpec
 # not called here: perfbench/spans.py traces ingest runs through these names
 from .ml.crossval import fit_model, kfold_eval  # noqa: F401
-from .ml.tasks import ModelReport, search_fit_rank
+from .ml.tasks import ModelReport, group_task
 
 FORMAT_VERSION = 1
 
@@ -250,7 +250,8 @@ def external_pipeline(parsed: ParsedDump, labels: dict[str, str], model_spec: Mo
 
     Rows are ring-bearing transactions, exactly as the native featurization
     would produce; rows with unresolved neighbors carry a coverage fraction
-    below one.  The report mirrors the group task: per-class precision and
+    below one.  The report is the group task's under the name
+    external_label, with the dump's own extras: per-class precision and
     recall with fold means and SDs, plus the importance ranking.
     """
     pub, hashes = dump_to_public_chain(parsed)
@@ -261,19 +262,10 @@ def external_pipeline(parsed: ParsedDump, labels: dict[str, str], model_spec: Mo
     if np.unique(y).size < 2:
         raise DegenerateLabels("need both labeled and unlabeled transactions")
 
-    best_params, result, trials, importances = search_fit_rank(
-        model_spec, fm, y, search, "accuracy")
-
-    report = ModelReport(
-        task="external_label", model_family=model_spec.family,
-        best_params=best_params, folds=result["folds"],
-        summary=result["summary"], feature_importances=importances,
-        trials=trials,
-        extras={
-            "positive_rate": joined.positive_rate,
-            "unmatched_labels": len(joined.unmatched),
-            "dangling_references": len(parsed.dangling),
-            "mean_coverage": float(fm.coverage.mean()) if fm.coverage is not None else 1.0,
-        },
-    )
+    report = replace(group_task(fm, y, model_spec, search), task="external_label", extras={
+        "positive_rate": joined.positive_rate,
+        "unmatched_labels": len(joined.unmatched),
+        "dangling_references": len(parsed.dangling),
+        "mean_coverage": float(fm.coverage.mean()) if fm.coverage is not None else 1.0,
+    })
     return report, fm

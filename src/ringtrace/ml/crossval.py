@@ -1,8 +1,8 @@
 """K-fold evaluation.
 
-Normalization statistics are fit on train folds only and applied to the held
-out fold, so test rows never influence the transform.  Folds and model seeds
-derive from the search seed.
+Each fold's model gets its train and test rows as they are: the models that
+need scaled input (MLP, linear) fit their own column statistics on the rows
+they train on.  Folds and model seeds derive from the search seed.
 """
 
 from dataclasses import dataclass, field
@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import TooFewSamples
-from ..features import apply_normalization, normalize_columns
 from .forest import ForestHyperParams, train_forest
 from .linear import LinearEpsHyperParams, train_linear_epsilon
 from .metrics import accuracy, precision_recall, r_squared
@@ -105,8 +104,7 @@ def kfold_eval(model_spec: ModelSpec, X: np.ndarray, y: np.ndarray,
     fold_rows = []
     for k, test_idx in enumerate(test_sets):
         train_idx = np.setdiff1d(np.arange(n), test_idx, assume_unique=False)
-        X_tr, means, stds = normalize_columns(X[train_idx])
-        X_te = apply_normalization(X[test_idx], means, stds)
+        X_tr, X_te = X[train_idx], X[test_idx]
         y_tr, y_te = y[train_idx], y[test_idx]
         model = fit_model(model_spec, X_tr, y_tr, seed=_derive_seed(seed, 11, k))
         row: dict = {"fold": k, "n_train": int(train_idx.size),

@@ -9,9 +9,9 @@ stochastic choice (bootstrap, per-node feature subsets) comes from a stream
 derived from (seed, tree index), so the trees are independent: with
 jobs > 1 they grow in forked worker processes, which inherit the training
 data and return only the trees, and the forest is the same at any jobs.
-Split impurities within _EPS tie across features and keep
-the lower feature index; within one feature the lowest computed impurity
-wins, and the lower threshold only on an exact float tie.
+Split impurities within _EPS tie: the lowest feature wins, then the lowest
+threshold.  A split depends only on the order of each column, so the forest
+takes raw, unscaled columns.
 """
 
 import math
@@ -126,9 +126,10 @@ def _best_split(X, Y, w, idx, feats):
         imp_r = (cy2[-1] + y2s[-1] - cy2) / div_r - msq_r
         after = (wl * imp_l + wr * imp_r) / w_total
         after = np.where(valid, after, np.inf)
-        pos = int(np.argmin(after))
-        if not np.isfinite(after[pos]):
+        low = after.min()
+        if not np.isfinite(low):
             continue
+        pos = int(np.argmax(after <= low + _EPS))  # lowest threshold within _EPS
         if best is None or after[pos] < best[0] - _EPS:
             thr = (cs[pos] + cs[pos + 1]) / 2.0
             best = (float(after[pos]), f, thr, order[: pos + 1])

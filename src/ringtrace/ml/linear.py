@@ -2,7 +2,8 @@
 
 Stands in for kernel support-vector regression: the same loss geometry, a
 tube of radius epsilon with L2 weight shrinkage, trained by minibatch
-subgradient descent.
+subgradient descent.  Rows are Z-scaled by the column statistics of the
+training rows, which the model keeps.
 """
 
 from dataclasses import dataclass, field
@@ -10,6 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import Diverged
+from ..features import apply_normalization, normalize_columns
 
 
 @dataclass
@@ -27,21 +29,23 @@ class LinearEpsModel:
     hp: LinearEpsHyperParams
     w: np.ndarray = field(repr=False, default=None)
     b: float = 0.0
+    means: np.ndarray = field(repr=False, default=None)  # of the training rows
+    stds: np.ndarray = field(repr=False, default=None)
     loss_curve: list[float] = field(default_factory=list)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return np.asarray(X, dtype=np.float64) @ self.w + self.b
+        return apply_normalization(X, self.means, self.stds) @ self.w + self.b
 
 
 def train_linear_epsilon(X: np.ndarray, y: np.ndarray,
                          hp: LinearEpsHyperParams) -> LinearEpsModel:
-    X = np.asarray(X, dtype=np.float64)
+    X, means, stds = normalize_columns(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64)
     n, d = X.shape
     rng = np.random.default_rng(np.random.SeedSequence(entropy=hp.seed,
                                                        spawn_key=(202,)))
     # with w at 0 the epsilon-loss is lowest at the target median
-    model = LinearEpsModel(hp=hp, w=np.zeros(d), b=float(np.median(y)))
+    model = LinearEpsModel(hp, np.zeros(d), float(np.median(y)), means, stds)
     for epoch in range(hp.epochs):
         perm = rng.permutation(n)
         losses = []

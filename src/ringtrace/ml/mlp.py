@@ -2,8 +2,10 @@
 
 Architecture is fixed at input -> hidden (rectifier) -> head: softmax with
 cross-entropy for classification, one linear unit with squared error for
-regression.  Training is a deterministic function of (data, hyperparameters,
-seed); non-finite loss raises Diverged carrying the offending rate.
+regression.  Rows are Z-scaled by the column statistics of the training rows,
+which the model keeps.  Training is a deterministic function of (data,
+hyperparameters, seed); non-finite loss raises Diverged carrying the
+offending rate.
 """
 
 from dataclasses import dataclass, field
@@ -11,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import Diverged
+from ..features import apply_normalization, normalize_columns
 
 _EPS = 1e-12
 
@@ -29,32 +32,31 @@ class MlpModel:
     hp: MlpHyperParams
     task: str  # classify | regress
     classes_: np.ndarray | None
+    means: np.ndarray = field(repr=False, default=None)  # of the training rows
+    stds: np.ndarray = field(repr=False, default=None)
     W1: np.ndarray = field(repr=False, default=None)
     b1: np.ndarray = field(repr=False, default=None)
     W2: np.ndarray = field(repr=False, default=None)
     b2: np.ndarray = field(repr=False, default=None)
     loss_curve: list[float] = field(default_factory=list)
 
-    def _hidden(self, X: np.ndarray) -> np.ndarray:
-        return np.maximum(X @ self.W1 + self.b1, 0.0)
-
     def _scores(self, X: np.ndarray) -> np.ndarray:
-        return self._hidden(X) @ self.W2 + self.b2
+        h = apply_normalization(X, self.means, self.stds) @ self.W1 + self.b1
+        return np.maximum(h, 0.0) @ self.W2 + self.b2
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         if self.task != "classify":
             raise ValueError("probabilities only for classifiers")
-        return _softmax(self._scores(np.asarray(X, dtype=np.float64)))
+        return _softmax(self._scores(X))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
         if self.task == "classify":
             return self.classes_[np.argmax(self.predict_proba(X), axis=1)]
         return self._scores(X)[:, 0]
 
     def loss_and_grads(self, X: np.ndarray, y_enc: np.ndarray,
                        sample_weight: np.ndarray | None = None):
-        """Mean loss over the batch and gradients for all four parameters."""
+        """Batch mean loss and the four gradients, on rows X already scaled."""
         n = X.shape[0]
         w = np.ones(n) if sample_weight is None else sample_weight
         # overflow here is the signature of divergence; the caller raises on
@@ -91,7 +93,7 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
 
 def train_mlp(X: np.ndarray, y: np.ndarray, hp: MlpHyperParams,
               task: str = "classify", class_weight: str | None = None) -> MlpModel:
-    X = np.asarray(X, dtype=np.float64)
+    X, means, stds = normalize_columns(np.asarray(X, dtype=np.float64))
     n, d = X.shape
     rng = np.random.default_rng(np.random.SeedSequence(entropy=hp.seed,
                                                        spawn_key=(101,)))
@@ -109,7 +111,7 @@ def train_mlp(X: np.ndarray, y: np.ndarray, hp: MlpHyperParams,
         y_enc = np.asarray(y, dtype=np.float64)
         weights = None
 
-    model = MlpModel(hp=hp, task=task, classes_=classes)
+    model = MlpModel(hp=hp, task=task, classes_=classes, means=means, stds=stds)
     model.W1 = rng.standard_normal((d, hp.hidden_units)) / np.sqrt(d)
     model.b1 = np.zeros(hp.hidden_units)
     model.W2 = rng.standard_normal((hp.hidden_units, k)) / np.sqrt(hp.hidden_units)
@@ -140,7 +142,8 @@ def train_mlp(X: np.ndarray, y: np.ndarray, hp: MlpHyperParams,
 def gradient_check(model: MlpModel, X: np.ndarray, y: np.ndarray,
                    n_weights: int = 10, eps: float = 1e-5,
                    seed: int = 0) -> float:
-    """Max relative error of analytic vs central-difference gradients."""
+    """Max relative error of analytic vs central-difference gradients, on
+    rows X already scaled (as `loss_and_grads` takes them)."""
     X = np.asarray(X, dtype=np.float64)
     if model.task == "classify":
         _, y_enc = np.unique(y, return_inverse=True)

@@ -134,16 +134,15 @@ def random_search(model_spec: ModelSpec, X: np.ndarray, y: np.ndarray,
 
 def search_fit_rank(model_spec: ModelSpec, fm: FeatureMatrix, y, search: SearchSpec,
                     metric: str) -> tuple[dict, dict, list, list | None]:
-    """Search on `fm.raw`, then rank a forest fit on all rows.
+    """Search on `fm.raw`, then rank a forest fit on all of its rows.
 
-    The final fit's input is `fm.normalized` (what features.csv stores).
     Importances are None for non-forest families.
     """
     res = random_search(model_spec, fm.raw, y, search, metric)
     importances = None
     if model_spec.family == "forest":
         final = fit_model(replace(model_spec, params=res["best_params"]),
-                          fm.normalized, y, seed=search.seed)
+                          fm.raw, y, seed=search.seed)
         importances = _ranked_importances(final, fm.names)
     return res["best_params"], res["best_result"], res["trials"], importances
 

@@ -81,28 +81,33 @@ def test_normalization_fit_on_train_only():
     shift = (te2 - te1).mean(axis=0)
     assert np.allclose(shift * X_train.std(axis=0), 1e9, rtol=1e-6)
 
-    # kfold_eval hands each fold's model its test rows under the train rows'
-    # transform: corrupting fold 0's test rows shifts them and nothing else
+    # kfold_eval hands each fold's model its rows unscaled, and the models
+    # that scale fit the transform on their train rows: corrupting fold 0's
+    # test rows reaches the test rows and leaves the model's statistics as
+    # they were
     X, y = np.vstack([X_train, X_test]), np.arange(60) % 2
-    spec = ModelSpec("forest", "classify", {"n_trees": 2, "max_depth": 2})
 
-    def fold_inputs(X_run):
+    def fold0(spec, X_run):
         seen = []
 
         def evaluate(model, X_te, y_te, test_idx):
-            seen.append((test_idx, X_te))
+            seen.append((test_idx, X_te, model))
             return {}
 
         kfold_eval(spec, X_run, y, folds=3, seed=6, evaluate=evaluate)
-        return seen
+        return seen[0]
 
-    test0, clean_te = fold_inputs(X)[0]
-    corrupted = X.copy()
-    corrupted[test0] += 1e9
-    _, m, s = normalize_columns(np.delete(X, test0, axis=0))
-    assert np.array_equal(clean_te, apply_normalization(X[test0], m, s))
-    assert np.array_equal(fold_inputs(corrupted)[0][1],
-                          apply_normalization(X[test0] + 1e9, m, s))
+    for family, task in (("mlp", "classify"), ("linear", "regress")):
+        spec = ModelSpec(family, task, {"epochs": 2})
+        test0, clean_te, clean = fold0(spec, X)
+        corrupted = X.copy()
+        corrupted[test0] += 1e9
+        _, dirty_te, dirty = fold0(spec, corrupted)
+        _, m, s = normalize_columns(np.delete(X, test0, axis=0))
+        assert np.array_equal(clean_te, X[test0])
+        assert np.array_equal(dirty_te, X[test0] + 1e9)
+        for model in (clean, dirty):
+            assert np.array_equal(model.means, m) and np.array_equal(model.stds, s)
 
 
 @settings(max_examples=200, deadline=None)
@@ -180,6 +185,19 @@ def test_regression_head_starts_at_the_data(family, epochs):
     rng = np.random.default_rng(6)
     X = rng.normal(size=(300, 4))
     y = 100 + X @ np.array([3.0, -2.0, 1.0, 0.5]) + rng.normal(0, 0.5, 300)
+    model = fit_model(ModelSpec(family, "regress", {"epochs": epochs}),
+                      X[:240], y[:240], seed=6)
+    assert r_squared(y[240:], model.predict(X[240:])) >= 0.9
+
+
+@pytest.mark.parametrize("family, epochs", [("linear", 60), ("mlp", 20)])
+def test_scaling_models_fit_raw_columns_of_large_scale(family, epochs):
+    # columns of scale 1e5 (like epoch timestamps): the models scale their own
+    # input, so the raw rows train as well as unit-scale ones
+    rng = np.random.default_rng(6)
+    Z = rng.normal(size=(300, 4))
+    y = 100 + Z @ np.array([3.0, -2.0, 1.0, 0.5]) + rng.normal(0, 0.5, 300)
+    X = 1e5 * Z + np.array([1.6e9, 0.0, -3e5, 42.0])
     model = fit_model(ModelSpec(family, "regress", {"epochs": epochs}),
                       X[:240], y[:240], seed=6)
     assert r_squared(y[240:], model.predict(X[240:])) >= 0.9

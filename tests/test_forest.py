@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ringtrace.errors import NoSplitsWarning
@@ -110,6 +110,32 @@ def test_worker_pool_grows_the_same_trees(task, class_weight, n_trees):
                 assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
+@pytest.mark.parametrize("task, class_weight", [("classify", "balanced"),
+                                                ("regress", None)])
+def test_affine_column_scaling_leaves_the_trees_unchanged(task, class_weight):
+    # a split depends only on the order of each column: an increasing affine
+    # map per column (exact on integer values) moves only the thresholds
+    rng = np.random.default_rng(13)
+    X = rng.integers(0, 12, size=(150, 5)).astype(float)
+    signal = X[:, 1] - 0.5 * X[:, 4] + rng.normal(0, 1.0, 150)
+    y = (signal > 2).astype(int) if task == "classify" else signal
+    a = np.array([1e5, 3.0, 0.25, 1e-3, 7.0])
+    b = np.array([1.6e9, -40.0, 0.0, 5e3, 0.5])
+    hp = ForestHyperParams(n_trees=6, max_depth=6, seed=13)
+    raw = train_forest(X, y, hp, task=task, class_weight=class_weight)
+    scaled = train_forest(a * X + b, y, hp, task=task, class_weight=class_weight)
+    assert sum(len(t.feature) for t in raw.trees) > hp.n_trees  # the trees split
+    for r, t in zip(raw.trees, scaled.trees):
+        for name in ("feature", "left", "right", "value", "importance"):
+            assert np.array_equal(getattr(r, name), getattr(t, name)), name
+        f = np.asarray(r.feature)
+        split = f >= 0
+        assert np.allclose(np.asarray(t.threshold)[split],
+                           a[f[split]] * np.asarray(r.threshold)[split] + b[f[split]],
+                           rtol=1e-12, atol=0)
+    assert np.array_equal(feature_importance(raw), feature_importance(scaled))
+
+
 def test_regressor_fits_step_function():
     rng = np.random.default_rng(9)
     X = rng.uniform(-1, 1, size=(400, 3))
@@ -198,6 +224,9 @@ def split_cases(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(split_cases())
+# thresholds 0.5 and 1.5 tie exactly; 1.5 computes one rounding lower
+@example((np.array([[0.0], [1.0], [2.0], [1.0]]), np.array([0.0, 1.0, 2.0, 1.0]),
+          np.ones(4), np.arange(4), np.array([0]), False))
 def test_best_split_matches_brute_force(case):
     X, y, w, idx, feats, classify = case
     Y = np.eye(y.max() + 1)[:, y] if classify else y[None, :]
@@ -208,7 +237,6 @@ def test_best_split_matches_brute_force(case):
         return
     after, f, thr, left_order = got
     assert after == pytest.approx(best[0][0], rel=1e-9, abs=1e-12)
-    # ties go to the lower feature; within it, an exact tie may resolve to
-    # any of the tied thresholds, as rounding orders their impurities
-    assert f == best[0][1] and thr in [t for _, g, t in best if g == f]
+    # ties go to the lower feature, then to its lowest threshold
+    assert f == best[0][1] and thr == min(t for _, g, t in best if g == f)
     assert np.array_equal(np.sort(idx[left_order]), np.sort(idx[X[idx, f] < thr]))
