@@ -27,6 +27,7 @@ from .ledger import (
     PublicChain,
     apply_block,
     build_transaction,
+    collector_paused,
     dump_csv,
     dump_json,
     load_versioned,
@@ -248,6 +249,7 @@ def shift_into_windows(t: int, windows: list[tuple[int, int]]) -> int:
 
 # Simulation ----------------------------------------------------------------------
 
+@collector_paused()
 def run_simulation(files: EconomyFile, spec: EconomySpec,
                    params: SimParams | None = None,
                    rng: Rng | None = None) -> tuple[Chain, GroundTruth]:

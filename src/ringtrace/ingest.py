@@ -177,7 +177,7 @@ def dump_to_public_chain(parsed: ParsedDump) -> tuple[PublicChain, list[str]]:
                 members.append(oid)
             rings.append(members)
         txs[tx_id].rings = rings
-    return PublicChain(blocks=[], transactions=txs, outputs=outs, seed=0), hashes
+    return PublicChain(blocks=[], transactions=txs, outputs=outs), hashes
 
 
 def export_dump(pub: PublicChain, path: Path | None = None) -> dict:

@@ -385,6 +385,41 @@ def test_wrong_kind_json_input_exit_2(workdir, tmp_path, capsys, argv, field):
     assert err["message"].startswith(f"{source}: ") and f"'{field}'" in err["message"]
 
 
+@pytest.mark.parametrize("argv, source, table, field, value, record, id_key", [
+    (["validate", "--chain", "{bad}"], "chain.json", "transactions", "inputs", 5,
+     "Transaction", "tx_id"),
+    (["validate", "--chain", "{bad}"], "chain.json", "outputs", "block_height", "x",
+     "Output", "output_id"),
+    (["featurize", "--chain", "{bad}", "--out", "{out}"], "public_chain.json",
+     "transactions", "rings", None, "PublicTx", "tx_id"),
+])
+def test_mistyped_chain_field_exit_2(workdir, tmp_path, capsys, argv, source, table,
+                                     field, value, record, id_key):
+    payload = json.loads((workdir / "sim" / source).read_text())
+    rec = next(r for r in payload[table] if r.get("kind") != "coinbase")
+    rec[field] = value
+    bad = tmp_path / source
+    bad.write_text(json.dumps(payload))
+    assert main([arg.format(bad=bad, out=tmp_path / "out") for arg in argv]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "SchemaError"
+    assert err["message"].startswith(f"{bad}: {record} {rec[id_key]}: {field} is "
+                                     f"{json.dumps(value)}, expected ")
+    assert err["message"].endswith(f"(field '{field}')")
+
+
+def test_mistyped_ring_member_names_its_transaction(workdir, tmp_path, capsys):
+    payload = json.loads((workdir / "sim" / "chain.json").read_text())
+    tx = next(t for t in payload["transactions"] if t["inputs"])
+    tx["inputs"][0]["members"][0] = str(tx["inputs"][0]["members"][0])
+    bad = tmp_path / "chain.json"
+    bad.write_text(json.dumps(payload))
+    assert main(["validate", "--chain", str(bad)]) == 2
+    message = json.loads(capsys.readouterr().err)["message"]
+    assert message.startswith(f"{bad}: Transaction {tx['tx_id']}: RingInput: members is "
+                              "an array, expected list[int]")
+
+
 def test_ingest_header_only_labels_no_numpy_warning(dump, tmp_path, capsys, recwarn):
     path = tmp_path / "labels.csv"
     path.write_text("tx_hash,label\n")

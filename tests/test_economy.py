@@ -1,7 +1,9 @@
 """Scenario presets, schedule generation, and the simulation loop."""
 
+import gc
 import json
 import math
+from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given, settings
@@ -20,11 +22,16 @@ from ringtrace.economy import (
     scenario_preset,
     shift_into_windows,
 )
-from ringtrace.errors import ModeRequiresSecrets, NoScheduleWarning, UnknownScenario
+from ringtrace import economy
+from ringtrace.errors import (
+    InvalidSimParams,
+    ModeRequiresSecrets,
+    NoScheduleWarning,
+    UnknownScenario,
+)
 from ringtrace.ledger import (
     load_chain,
     load_public_chain,
-    public_chain_to_dict,
     public_view,
     save_chain,
     save_public_chain,
@@ -169,7 +176,7 @@ def test_simulation_realizes_schedule_and_validates():
 
 
 SECRET_KEYS = {"owner", "amount", "real_index", "sender", "receiver",
-               "intended_amount", "spent_by"}
+               "intended_amount", "spent_by", "miner", "seed"}
 
 
 def _keys(node) -> set:
@@ -198,13 +205,22 @@ def test_simulated_chain_invariants(tmp_path_factory, seed, pools, per_pool, mat
     assert validate_chain(chain).ok
     assert all(len(set(ring.members)) == len(ring.members) == spec.ring_size
                for tx in chain.transactions.values() for ring in tx.inputs)
-    assert not SECRET_KEYS & _keys(public_chain_to_dict(public_view(chain)))
     assert all(chain.unspent.get(a.agent_id, []) == wallet_of(chain, a.agent_id)
                for a in spec.agents)
-    # save -> load -> save is byte-identical, and the loaded chain rebuilds unspent
     d = tmp_path_factory.mktemp("round_trip")
+    pub = public_view(chain)
     save_chain(chain, d / "chain.json")
-    save_public_chain(public_view(chain), d / "public_chain.json")
+    save_public_chain(pub, d / "public_chain.json")
+    assert not SECRET_KEYS & _keys(json.loads((d / "public_chain.json").read_text()))
+    # the writers spell each file as json.dumps does over the records' fields
+    assert (d / "chain.json").read_text() == _reference_text({
+        "format_version": 1, "seed": chain.seed, "block_interval": chain.block_interval,
+        "coinbase_maturity": chain.coinbase_maturity, "blocks": chain.blocks,
+        "transactions": _by_key(chain.transactions), "outputs": _by_key(chain.outputs)})
+    assert (d / "public_chain.json").read_text() == _reference_text({
+        "format_version": 1, "blocks": pub.blocks,
+        "transactions": _by_key(pub.transactions), "outputs": _by_key(pub.outputs)})
+    # save -> load -> save is byte-identical, and the loaded chain rebuilds unspent
     loaded = load_chain(d / "chain.json")
     save_chain(loaded, d / "chain2.json")
     save_public_chain(load_public_chain(d / "public_chain.json"), d / "public_chain2.json")
@@ -214,14 +230,47 @@ def test_simulated_chain_invariants(tmp_path_factory, seed, pools, per_pool, mat
                for a in spec.agents)
 
 
+def _by_key(records: dict) -> list:
+    return [rec for _, rec in sorted(records.items())]
+
+
+def _reference_text(payload: dict) -> str:
+    """The chain-file encoding the generated writers replace: json.dumps over
+    `dataclasses.asdict` of every record."""
+    payload = {key: [asdict(rec) for rec in value] if isinstance(value, list) else value
+               for key, value in payload.items()}
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def test_simulation_deterministic():
     spec = small_spec(seed=11)
     files = gen_economy(spec, Rng(spec.seed))
     c1, g1 = run_simulation(files, spec)
     c2, g2 = run_simulation(files, spec)
     assert g1 == g2
-    from ringtrace.ledger import chain_to_dict
-    assert chain_to_dict(c1) == chain_to_dict(c2)
+    assert (c1.seed, c1.blocks, c1.transactions, c1.outputs) == \
+        (c2.seed, c2.blocks, c2.transactions, c2.outputs)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_simulation_pauses_and_restores_the_collector(monkeypatch, enabled):
+    spec = small_spec(target=10)
+    files = gen_economy(spec, Rng(spec.seed))
+    seen = set()
+    inner = economy.apply_block
+    monkeypatch.setattr(economy, "apply_block",
+                        lambda *a, **k: seen.add(gc.isenabled()) or inner(*a, **k))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        run_simulation(files, spec)
+        assert gc.isenabled() is enabled
+        with pytest.raises(InvalidSimParams):
+            run_simulation(files, spec, replace(spec.sim, block_interval=0))
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == {False}
 
 
 def test_empty_schedule_gives_pure_coinbase_chain():

@@ -60,7 +60,7 @@ def build_public(creator_times, ring_lists, tx_times):
                    for r in rings]
         txs[tx_id] = PublicTx(tx_id=tx_id, timestamp=t, block_height=n + k,
                               rings=ordered, outputs=[], fee=1, kind="transfer")
-    return PublicChain(blocks=[], transactions=txs, outputs=outs, seed=0)
+    return PublicChain(blocks=[], transactions=txs, outputs=outs)
 
 
 @pytest.fixture(scope="module")
@@ -285,11 +285,10 @@ def test_block_order_does_not_matter(sim_public):
     fm1 = featurize_chain(sim_public)
     # permute tx order within each block of a structural copy
     shuffled = PublicChain(
-        blocks=[type(b)(b.height, b.timestamp, b.miner, list(reversed(b.tx_ids)))
+        blocks=[type(b)(b.height, b.timestamp, list(reversed(b.tx_ids)))
                 for b in sim_public.blocks],
         transactions=sim_public.transactions,
         outputs=sim_public.outputs,
-        seed=sim_public.seed,
     )
     fm2 = featurize_chain(shuffled)
     assert fm1.tx_ids == fm2.tx_ids
@@ -302,9 +301,10 @@ def test_featurize_empty_chain():
         featurize_chain(chain)
 
 
-def test_featurize_on_round_tripped_public_chain(sim_public):
-    from ringtrace.ledger import public_chain_from_dict, public_chain_to_dict
-    clone = public_chain_from_dict(public_chain_to_dict(sim_public))
+def test_featurize_on_round_tripped_public_chain(sim_public, tmp_path):
+    from ringtrace.ledger import load_public_chain, save_public_chain
+    save_public_chain(sim_public, tmp_path / "public_chain.json")
+    clone = load_public_chain(tmp_path / "public_chain.json")
     fm1 = featurize_chain(sim_public)
     fm2 = featurize_chain(clone)
     assert np.array_equal(fm1.raw, fm2.raw)

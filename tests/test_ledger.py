@@ -12,17 +12,17 @@ from ringtrace.ledger import (
     DecoyPolicy,
     apply_block,
     build_transaction,
-    chain_from_dict,
-    chain_to_dict,
-    public_chain_from_dict,
-    public_chain_to_dict,
+    load_chain,
+    load_public_chain,
     public_view,
+    save_chain,
+    save_public_chain,
     select_decoys,
     validate_chain,
 )
 from ringtrace.rng import Rng
 
-from conftest import UNIFORM, mine_empty, send
+from conftest import UNIFORM, mine_empty, send, wallet_of
 
 
 # select_decoys -------------------------------------------------------------
@@ -229,6 +229,18 @@ def test_n_blocks_reach_height_n_minus_1():
     assert [b.height for b in chain.blocks] == list(range(238))
 
 
+def test_miner_paid_in_its_own_block_lists_the_transfer_output_first(funded_chain):
+    # the payment's id is drawn when the transfer is built, before the id of
+    # the coinbase that apply_block registers first, so it cannot be appended
+    h = funded_chain.next_height
+    tx = build_transaction(funded_chain, 0, 10, 1, 1, h, h * 10, 3, UNIFORM, Rng(23))
+    block = apply_block(funded_chain, [tx], miner=1, time=h * 10, block_reward=1000)
+    coinbase = funded_chain.transactions[block.tx_ids[0]].outputs[0]
+    assert funded_chain.unspent[1][-2:] == [funded_chain.outputs[tx.outputs[0]],
+                                            funded_chain.outputs[coinbase]]
+    assert funded_chain.unspent[1] == wallet_of(funded_chain, 1)
+
+
 def test_fees_recycle_into_coinbase(funded_chain):
     rng = Rng(11)
     h = funded_chain.next_height
@@ -263,21 +275,36 @@ def test_public_view_preserves_structure(funded_chain):
         assert len(ptx.outputs) == len(tx.outputs)
 
 
-def test_public_serialization_contains_no_secret_fields(funded_chain):
+def test_public_serialization_contains_no_secret_fields(funded_chain, tmp_path):
     # schema-scan oracle: the serialized public view must not mention any
     # secret field name anywhere
     send(funded_chain, 0, 1, 25, Rng(13))
-    blob = json.dumps(public_chain_to_dict(public_view(funded_chain)))
-    for secret in ("owner", "amount", "real_index", "sender", "receiver", "spent_by"):
+    save_public_chain(public_view(funded_chain), tmp_path / "public_chain.json")
+    blob = (tmp_path / "public_chain.json").read_text()
+    for secret in ("owner", "amount", "real_index", "sender", "receiver", "spent_by",
+                   "miner", "seed"):
         assert secret not in blob
 
 
-def test_public_view_idempotent_round_trip(funded_chain):
+def test_public_view_idempotent_round_trip(funded_chain, tmp_path):
     send(funded_chain, 0, 1, 25, Rng(14))
-    pub = public_view(funded_chain)
-    d1 = public_chain_to_dict(pub)
-    d2 = public_chain_to_dict(public_chain_from_dict(d1))
-    assert d1 == d2
+    save_public_chain(public_view(funded_chain), tmp_path / "a.json")
+    save_public_chain(load_public_chain(tmp_path / "a.json"), tmp_path / "b.json")
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def test_public_chain_with_miner_and_seed_still_loads(funded_chain, tmp_path):
+    # files written before the public view dropped both keys
+    send(funded_chain, 0, 1, 25, Rng(24))
+    save_public_chain(public_view(funded_chain), tmp_path / "public_chain.json")
+    old = json.loads((tmp_path / "public_chain.json").read_text())
+    old["seed"] = funded_chain.seed
+    for block in old["blocks"]:
+        block["miner"] = funded_chain.blocks[block["height"]].miner
+    (tmp_path / "old.json").write_text(json.dumps(old, sort_keys=True))
+    save_public_chain(load_public_chain(tmp_path / "old.json"), tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == \
+        (tmp_path / "public_chain.json").read_bytes()
 
 
 # validate_chain -------------------------------------------------------------
@@ -321,16 +348,18 @@ def test_unsorted_ring_detected(funded_chain):
 # serialization --------------------------------------------------------------
 
 
-def test_chain_round_trip(funded_chain):
+def test_chain_round_trip(funded_chain, tmp_path):
     send(funded_chain, 0, 1, 25, Rng(19))
-    d1 = chain_to_dict(funded_chain)
-    d2 = chain_to_dict(chain_from_dict(d1))
-    assert d1 == d2
+    save_chain(funded_chain, tmp_path / "a.json")
+    save_chain(load_chain(tmp_path / "a.json"), tmp_path / "b.json")
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    d1 = json.loads((tmp_path / "a.json").read_text())
     assert d1["format_version"] == 1 and d1["seed"] == 42
 
 
-def test_loaded_chain_can_keep_building(funded_chain):
+def test_loaded_chain_can_keep_building(funded_chain, tmp_path):
     send(funded_chain, 0, 1, 25, Rng(20))
-    clone = chain_from_dict(chain_to_dict(funded_chain))
+    save_chain(funded_chain, tmp_path / "chain.json")
+    clone = load_chain(tmp_path / "chain.json")
     send(clone, 1, 0, 5, Rng(21))
     assert validate_chain(clone).ok

@@ -13,9 +13,12 @@ from pathlib import Path
 
 import numpy as np
 
-from ringtrace import cli
+from ringtrace import cli, economy, ledger
 from ringtrace.features import FeatureMatrix, write_feature_matrix
 from ringtrace.ml import ForestHyperParams, ModelSpec, SearchSpec, tasks, train_forest
+from ringtrace.rng import Rng
+
+from test_economy import small_spec
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -63,6 +66,40 @@ def test_search_calls_the_traced_globals(monkeypatch):
     tasks.group_task(fm, X[:, 0] > 0, ModelSpec("forest", "classify", {"n_trees": 2}),
                      SearchSpec(budget=2, folds=2, seed=3))
     assert calls == ["kfold_eval", "kfold_eval", "fit_model"]
+
+
+def _count_calls(monkeypatch, module, names) -> dict[str, list]:
+    """Replace each named module attribute with a wrapper logging its args."""
+    calls = {name: [] for name in names}
+    for name in names:
+        inner = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, _log=calls[name], _f=inner, **k:
+                            _log.append(a) or _f(*a, **k))
+    return calls
+
+
+def test_simulation_calls_the_traced_globals(monkeypatch):
+    calls = _count_calls(monkeypatch, economy, ("build_transaction", "apply_block"))
+    spec = small_spec(target=10)
+    chain, _ = economy.run_simulation(economy.gen_economy(spec, Rng(spec.seed)), spec)
+    assert len(calls["build_transaction"]) >= 10
+    assert len(calls["apply_block"]) == len(chain.blocks)
+
+
+def test_simulate_command_calls_the_traced_savers(tmp_path, monkeypatch):
+    calls = _count_calls(monkeypatch, ledger,
+                         ("public_view", "save_chain", "save_public_chain"))
+    spec = small_spec(target=10)
+    economy.save_economy(spec, economy.gen_economy(spec, Rng(spec.seed)),
+                         tmp_path / "economy.json")
+    assert cli.main(["simulate", "--economy", str(tmp_path / "economy.json"),
+                     "--out", str(tmp_path / "sim")]) == 0
+    assert len(calls["public_view"]) == 1
+    # spans._file_arg sizes the file named by a saver's second argument
+    assert [a[1] for a in calls["save_chain"]] == [tmp_path / "sim" / "chain.json"]
+    assert [a[1] for a in calls["save_public_chain"]] == \
+        [tmp_path / "sim" / "public_chain.json"]
 
 
 def test_steps_cli_scaling_reaches_cli_main(tmp_path, monkeypatch):
