@@ -9,6 +9,7 @@ machine-readable JSON object on stderr; validation findings exit 1.
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -255,7 +256,7 @@ def cmd_validate(args) -> int:
     chain = ledger.load_chain(_require_file(args.chain, "chain"))
     report = ledger.validate_chain(chain)
     payload = {"ok": report.ok,
-               "violations": [ledger.record_to_dict(v) for v in report.violations]}
+               "violations": [asdict(v) for v in report.violations]}
     print(json.dumps(payload, sort_keys=True))
     return 0 if report.ok else 1
 

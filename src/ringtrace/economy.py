@@ -29,10 +29,8 @@ from .ledger import (
     build_transaction,
     collector_paused,
     dump_csv,
-    dump_json,
-    load_versioned,
-    record_from_dict,
-    record_to_dict,
+    load_record,
+    save_record,
 )
 from .rng import Rng
 
@@ -46,9 +44,6 @@ class AgentProfile:
     wait_lambda: float
     amount_lambda: float
     active_windows: list[tuple[float, float]] = field(default_factory=list)
-
-    def __post_init__(self):
-        self.active_windows = [tuple(w) for w in self.active_windows]
 
 
 @dataclass
@@ -223,12 +218,13 @@ def gen_economy(spec: EconomySpec, rng: Rng) -> EconomyFile:
 _DAY = 86_400
 
 
-def _window_seconds(windows: list[tuple[float, float]]) -> list[tuple[int, int]]:
+def _window_seconds(profile: AgentProfile) -> list[tuple[int, int]]:
     out = []
-    for start, end in windows:
+    for start, end in profile.active_windows:
         s, e = int(round(start * 3600)), int(round(end * 3600))
         if not (0 <= s < e <= _DAY):
-            raise ValueError(f"window [{start}, {end}) outside a day")
+            raise InvalidSimParams(f"agent {profile.agent_id}: active_windows "
+                                   f"[{start}, {end}) is not inside one day")
         out.append((s, e))
     return sorted(out)
 
@@ -264,22 +260,33 @@ def run_simulation(files: EconomyFile, spec: EconomySpec,
     if params.block_interval < 1:
         # block times would not advance, so no request would come due
         raise InvalidSimParams(f"block_interval must be >= 1, got {params.block_interval}")
+    if spec.ring_size < 1:
+        raise InvalidSimParams(f"ring_size must be >= 1, got {spec.ring_size}")
+    profiles = {a.agent_id: a for a in spec.agents}
+    unknown = sorted(set(files) - set(profiles))
+    if unknown:
+        raise InvalidSimParams(f"files: {unknown[0]} names no agent")
     rng = rng or Rng(spec.seed)
     sim_rng = rng.fork("simulation")
     interval = params.block_interval
     chain = Chain(block_interval=interval, coinbase_maturity=params.coinbase_maturity,
                   seed=spec.seed)
     agents = sorted(a.agent_id for a in spec.agents)
-    profiles = {a.agent_id: a for a in spec.agents}
     policy = params.policy()
 
     start = params.warmup_blocks * interval
     queues: dict[int, deque] = {}
     for a in agents:
-        win = _window_seconds(profiles[a].active_windows)
+        win = _window_seconds(profiles[a])
         t = start
         q: deque = deque()
         for item in files.get(a, []):
+            if item.wait < 0:
+                raise InvalidSimParams(f"files: {a}: wait must be >= 0, got {item.wait}")
+            if item.amount < 1:
+                raise InvalidSimParams(f"files: {a}: amount must be >= 1, got {item.amount}")
+            if item.dest not in profiles:
+                raise InvalidSimParams(f"files: {a}: dest {item.dest} names no agent")
             t = shift_into_windows(t + item.wait, win)
             q.append((t, item.dest, item.amount))
         queues[a] = q
@@ -387,39 +394,46 @@ def write_edges(edges: list[tuple[int, int]], path: Path) -> None:
 
 
 # economy.json --------------------------------------------------------------------
-
-def economy_to_dict(spec: EconomySpec, files: EconomyFile) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "seed": spec.seed,
-        "spec": {
-            "name": spec.name,
-            "target_tx_count": spec.target_tx_count,
-            "ring_size": spec.ring_size,
-            "sim": record_to_dict(spec.sim),
-            "agents": [record_to_dict(a)
-                       for a in sorted(spec.agents, key=lambda a: a.agent_id)],
-        },
-        "files": {str(agent): [record_to_dict(s) for s in schedule]
-                  for agent, schedule in sorted(files.items())},
-    }
+# The file's layout; fields in the order they are checked, so a file of
+# another kind is reported by its first missing field, `spec`.
 
 
-def economy_from_dict(payload: dict) -> tuple[EconomySpec, EconomyFile]:
-    s = payload["spec"]
-    spec = EconomySpec(
-        name=s["name"], agents=[record_from_dict(AgentProfile, a) for a in s["agents"]],
-        target_tx_count=s["target_tx_count"], ring_size=s["ring_size"],
-        seed=payload["seed"], sim=record_from_dict(SimParams, s["sim"]),
-    )
-    files = {int(agent): [record_from_dict(ScheduledTx, e) for e in entries]
-             for agent, entries in payload["files"].items()}
-    return spec, files
+@dataclass
+class _SpecFile:
+    name: str
+    target_tx_count: int
+    ring_size: int
+    sim: SimParams
+    agents: list[AgentProfile]
+
+
+@dataclass
+class _EconomyFile:
+    format_version: int
+    spec: _SpecFile
+    seed: int
+    files: dict[str, list[ScheduledTx]]
 
 
 def save_economy(spec: EconomySpec, files: EconomyFile, path: Path) -> None:
-    dump_json(economy_to_dict(spec, files), path)
+    save_record(_EconomyFile(
+        format_version=FORMAT_VERSION, seed=spec.seed,
+        spec=_SpecFile(name=spec.name, target_tx_count=spec.target_tx_count,
+                       ring_size=spec.ring_size, sim=spec.sim,
+                       agents=sorted(spec.agents, key=lambda a: a.agent_id)),
+        files={str(agent): schedule for agent, schedule in files.items()}), path)
 
 
 def load_economy(path: Path) -> tuple[EconomySpec, EconomyFile]:
-    return load_versioned(path, economy_from_dict)
+    rec = load_record(_EconomyFile, path)
+    s = rec.spec
+    spec = EconomySpec(name=s.name, agents=s.agents, target_tx_count=s.target_tx_count,
+                       ring_size=s.ring_size, seed=rec.seed, sim=s.sim)
+    return spec, {_agent_key(key): schedule for key, schedule in rec.files.items()}
+
+
+def _agent_key(key: str) -> int:
+    try:
+        return int(key)
+    except ValueError:
+        raise InvalidSimParams(f"files: key {key!r} is not an agent id") from None

@@ -17,9 +17,15 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyChain, NoRings, NoTwoRingTxs, SchemaError
-from .ledger import TRANSFER, PublicChain, PublicTx, dump_csv, dump_json, load_json
-
-FORMAT_VERSION = 1
+from .ledger import (
+    FORMAT_VERSION,
+    TRANSFER,
+    PublicChain,
+    PublicTx,
+    dump_csv,
+    load_record,
+    save_record,
+)
 
 ZERO_HOP_NAMES = (
     "epoch_time",
@@ -288,6 +294,21 @@ def ring_pair_correlation(chain: PublicChain, binning: str = "by_rank",
 
 # File formats --------------------------------------------------------------------
 
+@dataclass
+class ColumnStats:
+    """One feature column's z-normalization, as norm_stats.json lists it."""
+
+    name: str
+    mean: float
+    std: float
+
+
+@dataclass
+class _NormStatsFile:
+    format_version: int
+    columns: list[ColumnStats]
+
+
 def write_feature_matrix(fm: FeatureMatrix, out_dir: Path,
                          include_coverage: bool = False) -> dict[str, Path]:
     """features.csv (normalized), features_raw.csv, norm_stats.json.
@@ -311,15 +332,11 @@ def write_feature_matrix(fm: FeatureMatrix, out_dir: Path,
         )
         dump_csv(header, rows, out_dir / fname)
         paths[fname] = out_dir / fname
-    stats = {
-        "format_version": FORMAT_VERSION,
-        "columns": [
-            {"name": n, "mean": float(m), "std": float(s)}
-            for n, m, s in zip(fm.names, fm.norm_means, fm.norm_stds)
-        ],
-    }
     paths["norm_stats.json"] = out_dir / "norm_stats.json"
-    dump_json(stats, paths["norm_stats.json"])
+    save_record(_NormStatsFile(FORMAT_VERSION, [
+        ColumnStats(n, float(m), float(s))
+        for n, m, s in zip(fm.names, fm.norm_means, fm.norm_stds)]),
+        paths["norm_stats.json"])
     return paths
 
 
@@ -394,8 +411,8 @@ def _bad_cell(path: Path, header: list[str], cols: list[int], dtype) -> SchemaEr
 def read_feature_matrix(out_dir: Path) -> FeatureMatrix:
     """features_raw.csv, with the column names of norm_stats.json."""
     out_dir = Path(out_dir)
-    stats = load_json(out_dir / "norm_stats.json")
-    names = tuple(c["name"] for c in stats["columns"])
+    stats = load_record(_NormStatsFile, out_dir / "norm_stats.json")
+    names = tuple(c.name for c in stats.columns)
     ids, raw, _ = load_csv(out_dir / "features_raw.csv", ("tx_id",), names)
     return FeatureMatrix(tx_ids=ids[:, 0].astype(np.int64).tolist(), names=names,
                          raw=raw)

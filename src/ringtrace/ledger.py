@@ -5,9 +5,11 @@ adversary sees only the projection produced by :func:`public_view`.  Chain
 construction is strictly sequential; a built chain and its public view are
 immutable by convention and safe for concurrent readers.
 
-`chain.json` and `public_chain.json` are written by one generated JSON-text
-writer per record class and read by one generated reader per class that
-checks each field's JSON type; the dataclass annotations drive both.
+Every JSON file that is read back (`chain.json`, `public_chain.json`,
+`economy.json`, `norm_stats.json`) is a dataclass record written by
+:func:`save_record` and read by :func:`load_record`: one generated JSON-text
+writer per record class, and one generated reader per class that checks
+each field's JSON type, both driven by the dataclass annotations.
 Simulation, the public view and the chain-file savers and loaders run with
 the cyclic garbage collector paused (:func:`collector_paused`).  That is
 safe because the records hold no reference cycles: a block, transaction or
@@ -28,7 +30,14 @@ from pathlib import Path
 from types import NoneType, UnionType
 from typing import get_args, get_origin
 
-from .errors import DoubleSpend, InsufficientFunds, InvalidRing, PoolTooSmall, SchemaError
+from .errors import (
+    DoubleSpend,
+    InsufficientFunds,
+    InvalidRing,
+    InvalidSimParams,
+    PoolTooSmall,
+    SchemaError,
+)
 from .rng import Rng
 
 FORMAT_VERSION = 1
@@ -114,9 +123,10 @@ class DecoyPolicy:
 
     def __post_init__(self):
         if self.kind not in ("uniform", "recency_weighted"):
-            raise ValueError(f"unknown decoy policy kind {self.kind!r}")
+            raise InvalidSimParams(f"decoy_kind must be 'uniform' or 'recency_weighted', "
+                                   f"got {self.kind!r}")
         if self.recency_shape <= 0:
-            raise ValueError("recency_shape must be positive")
+            raise InvalidSimParams(f"recency_shape must be positive, got {self.recency_shape}")
 
 
 @dataclass
@@ -578,27 +588,9 @@ def load_json(path: Path):
                           f"{err.msg}") from None
 
 
-def load_versioned(path: Path, from_dict):
-    """`from_dict` of a JSON input file that carries FORMAT_VERSION.
-
-    A file of another version, or of another kind (a field `from_dict`
-    looks up is missing), raises SchemaError naming the file and the field;
-    so does a chain-file field of the wrong JSON type, naming its record.
-    """
-    payload = load_json(path)
-    version = payload.get("format_version") if isinstance(payload, dict) else None
-    if version != FORMAT_VERSION:
-        raise SchemaError(f"{path}: unsupported format_version {version!r}",
-                          field="format_version")
-    try:
-        return from_dict(payload)
-    except KeyError as err:
-        raise SchemaError(f"{path}: missing field", field=err.args[0]) from None
-    except _Mistyped as err:
-        raise SchemaError(f"{path}: {err}", field=err.field) from None
-
-
 def dump_json(payload: dict, path: Path) -> None:
+    """Write free-form JSON (manifests, reports), keys sorted; records that
+    are read back go through save_record."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
@@ -613,37 +605,282 @@ def dump_csv(header: list[str], rows, path: Path) -> None:
         w.writerows(rows)
 
 
+# Record codec -----------------------------------------------------------------
+#
+# A dataclass's annotations are its JSON layout.  The kinds understood are
+# bool, int, float, str, `X | None`, fixed-length tuples of numbers, lists,
+# `dict[str, X]` and nested records.
+
+
+def save_record(rec, path: Path) -> None:
+    """Write a dataclass record as one line of JSON text: the bytes of
+    `json.dumps(asdict(rec), sort_keys=True, separators=(",", ":"))` and a
+    newline."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(_json_writer(type(rec))(rec) + "\n")
+
+
+def load_record(cls, path: Path):
+    """The `cls` record of a JSON file that carries FORMAT_VERSION.
+
+    A file of another version or kind, a missing field or a field of the
+    wrong JSON type raises SchemaError naming the file, the path to the
+    field and the field; unknown keys are ignored.
+    """
+    payload = load_json(path)
+    version = payload.get("format_version") if isinstance(payload, dict) else None
+    if version != FORMAT_VERSION:
+        raise SchemaError(f"{path}: unsupported format_version {version!r}",
+                          field="format_version")
+    try:
+        return _json_reader(cls)(payload)
+    except _BadField as err:
+        raise SchemaError(f"{path}: {err}", field=err.field) from None
+
+
 @functools.cache
 def _field_names(cls) -> tuple[str, ...]:
     # fields() per record made chain loading a third slower
     return tuple(f.name for f in fields(cls))
 
 
+class _BadField(Exception):
+    """A record field missing from its JSON object or of the wrong JSON type.
+
+    `where` is the path to the record holding it, outermost first: list items
+    by their record name, other values by their field name or key.  The
+    outermost entry is the file itself and is not shown.
+    """
+
+    def __init__(self, where: list[str], field: str, problem: str):
+        super().__init__(field)
+        self.where, self.field, self.problem = where, field, problem
+
+    def __str__(self) -> str:
+        return "".join(f"{name}: " for name in self.where[1:]) + self.problem
+
+
+def _optional(ann):
+    """X for an `X | None` annotation, else None."""
+    args = get_args(ann)
+    if isinstance(ann, UnionType) and len(args) == 2 and args[1] is NoneType:
+        return args[0]
+    return None
+
+
+def _item(ann):
+    """X for a `list[X]` annotation, else None."""
+    return get_args(ann)[0] if get_origin(ann) is list else None
+
+
+def _int_list(ann) -> bool:
+    item = _item(ann)
+    return item is int or (item is not None and _int_list(item))
+
+
+def _spelling(ann, v: str, env: dict) -> str:
+    """Expression text that spells `v`, of type `ann`, the way
+    `json.dumps(..., sort_keys=True, separators=(",", ":"))` does."""
+    if ann is bool:
+        return f'"true" if {v} else "false"'
+    if ann is int:
+        return v
+    if ann is str:
+        return f"_enc({v})"
+    if ann is float or get_origin(ann) is tuple:
+        return f"_compact({v})"
+    if _optional(ann) is not None:
+        return f'"null" if {v} is None else {_spelling(_optional(ann), v, env)}'
+    if is_dataclass(ann):
+        return f"{_writer(ann, env)}({v})"
+    if _int_list(ann):
+        return f'repr({v}).replace(" ", "")'
+    if _item(ann) is not None:
+        return f'"[" + ",".join(map({_writer(_item(ann), env)}, {v})) + "]"'
+    if get_origin(ann) is dict and get_args(ann)[0] is str:
+        w = _writer(get_args(ann)[1], env)
+        return (f'"{{" + ",".join([_enc(k) + ":" + {w}(x) '
+                f'for k, x in sorted({v}.items())]) + "}}"')
+    raise TypeError(f"no JSON spelling for {ann}")
+
+
+def _writer(ann, env: dict) -> str:
+    """The name in `env` of a function spelling one value of type `ann`."""
+    if is_dataclass(ann):
+        name = f"_w_{ann.__name__}"
+        env[name] = _json_writer(ann)
+    else:
+        name = f"_w{len(env)}"
+        env[name] = eval(f"lambda x: {_spelling(ann, 'x', env)}", env)
+    return name
+
+
 @functools.cache
-def _dict_writer(cls):
-    """`lambda rec: {"name": rec.name, ...}` over cls's fields, built once.
+def _json_writer(cls):
+    """`rec -> str`: the JSON text of a `cls` record, keys sorted, built once.
 
-    A dict display is as fast as the hand-written writers it replaces.  A
-    getattr loop per record cost `simulate` on s05 a tenth more CPU, and
-    `vars(rec)` a quarter: it leaves every record a lasting instance dict
-    for the garbage collector to walk.
+    One f-string per class writes the s05 records in a third to a quarter
+    of the time that their field dicts plus `json.dumps(sort_keys=True)`
+    take.
     """
-    items = ", ".join(f"{name!r}: rec.{name}" for name in _field_names(cls))
-    return eval(f"lambda rec: {{{items}}}")
+    env = {"_enc": encode_basestring_ascii,
+           "_compact": functools.partial(json.dumps, separators=(",", ":"))}
+    items = ",".join(f"{json.dumps(f.name)}:{{{_spelling(f.type, 'r.' + f.name, env)}}}"
+                     for f in sorted(fields(cls), key=lambda f: f.name))
+    return eval(f"lambda r: f'{{{{{items}}}}}'", env)
 
 
-def record_to_dict(rec) -> dict:
-    """A dataclass record as the dict of its fields, for a JSON file; the
-    fields are the one statement of each record's file layout."""
-    return _dict_writer(type(rec))(rec)
+_INT = frozenset([int])
+_NUM = frozenset([int, float])
 
 
-def record_from_dict(cls, payload: dict):
-    """The dataclass `cls` built from the payload keys named by its fields.
+def _check(ann, v: str, depth: int = 0) -> str:
+    """Expression text true when the parsed JSON value `v` fits `ann`; a
+    float field takes any JSON number.  The fields of a nested record are
+    checked by the record's own reader."""
+    if ann in (bool, int, str):
+        return f"type({v}) is {ann.__name__}"
+    if ann is float:
+        return f"type({v}) in _NUM"
+    if _optional(ann) is not None:
+        return f"({v} is None or {_check(_optional(ann), v, depth)})"
+    if is_dataclass(ann):
+        return f"type({v}) is dict"
+    args, x = get_args(ann), f"x{depth}"
+    if get_origin(ann) is tuple:
+        return (f"(type({v}) is list and len({v}) == {len(args)} and "
+                + " and ".join(_check(a, f"{v}[{i}]", depth) for i, a in enumerate(args))
+                + ")")
+    if _item(ann) is int:
+        return f"(type({v}) is list and _INT.issuperset(map(type, {v})))"
+    if _item(ann) is not None:
+        return f"(type({v}) is list and all({_check(args[0], x, depth + 1)} for {x} in {v}))"
+    if get_origin(ann) is dict and args[0] is str:
+        return (f"(type({v}) is dict and "
+                f"all({_check(args[1], x, depth + 1)} for {x} in {v}.values()))")
+    raise TypeError(f"no JSON check for {ann}")
 
-    Unknown keys are ignored; a missing field raises KeyError naming it.
+
+def _reader(cls, env: dict) -> str:
+    """The name in `env` of the reader of record class `cls`."""
+    name = f"_r_{cls.__name__}"
+    env[name] = _json_reader(cls)
+    return name
+
+
+def _value(ann, v: str, env: dict, depth: int = 0) -> str:
+    """Expression text that builds the value of type `ann` from the checked
+    JSON value `v`: records from objects, tuples from arrays."""
+    if is_dataclass(ann):
+        return f"{_reader(ann, env)}({v})"
+    if get_origin(ann) is tuple:
+        return f"tuple({v})"
+    x = f"x{depth}"
+    if _item(ann) is not None:
+        inner = _value(_item(ann), x, env, depth + 1)
+        return v if inner == x else f"[{inner} for {x} in {v}]"
+    return v
+
+
+def _field_value(f, env: dict) -> str:
+    """`_value` of a record field.  A nested record's errors are labelled
+    with the field's name, a mapping's with the field's name and the key,
+    so no message names a file layout's private record class."""
+    if is_dataclass(f.type):
+        return f"_nested({f.name!r}, {_reader(f.type, env)}, {f.name})"
+    if get_origin(f.type) is dict:
+        convert = _value(get_args(f.type)[1], "x0", env, 1)
+        return f"_keyed({f.name!r}, lambda x0: {convert}, {f.name})"
+    return _value(f.type, f.name, env)
+
+
+def _nested(name: str, read, payload: dict):
+    try:
+        return read(payload)
+    except _BadField as err:
+        err.where[0] = name
+        raise
+
+
+def _keyed(name: str, convert, payload: dict) -> dict:
+    out = {}
+    for key, value in payload.items():
+        try:
+            out[key] = convert(value)
+        except _BadField as err:
+            err.where[:0] = [name, key]
+            raise
+    return out
+
+
+@functools.cache
+def _json_reader(cls):
+    """`payload -> cls`: the record of a parsed JSON object, built once.
+
+    A missing field or a field of another JSON type raises _BadField;
+    unknown keys are ignored.
     """
-    return cls(**{name: payload[name] for name in _field_names(cls)})
+    env = {"_cls": cls, "_INT": _INT, "_NUM": _NUM, "_BadField": _BadField,
+           "_missing": _missing, "_mistyped": _mistyped, "_record_name": _record_name,
+           "_nested": _nested, "_keyed": _keyed}
+    names = _field_names(cls)
+    args = [_field_value(f, env) for f in fields(cls)]
+    checks = " and ".join(_check(f.type, f.name) for f in fields(cls))
+    exec(f"""def read(p):
+    try:
+        {", ".join(names)}, = {", ".join(f"p[{n!r}]" for n in names)},
+    except KeyError as err:
+        _missing(_cls, p, err.args[0])
+    if not ({checks}):
+        _mistyped(_cls, p)
+    try:
+        return _cls({", ".join(args)})
+    except _BadField as err:
+        err.where.insert(0, _record_name(_cls, p))
+        raise
+""", env)
+    return env["read"]
+
+
+def _record_name(cls, payload: dict) -> str:
+    """The class name and, when the first field is an int id (`height` or
+    `..._id`), its value."""
+    first = fields(cls)[0]
+    key = payload.get(first.name)
+    if (first.type is int and type(key) is int
+            and (first.name == "height" or first.name.endswith("_id"))):
+        return f"{cls.__name__} {key}"
+    return cls.__name__
+
+
+def _type_name(ann) -> str:
+    """`ann` as messages print it: without module paths, and a file layout's
+    private record class as `object`."""
+    if isinstance(ann, type):
+        return "object" if ann.__name__.startswith("_") else ann.__name__
+    if _optional(ann) is not None:
+        return f"{_type_name(_optional(ann))} | None"
+    return f"{get_origin(ann).__name__}[{', '.join(map(_type_name, get_args(ann)))}]"
+
+
+def _missing(cls, payload: dict, name: str):
+    raise _BadField([_record_name(cls, payload)], name, "missing field")
+
+
+def _mistyped(cls, payload: dict):
+    """Raise _BadField for the first field of `payload` its check rejects."""
+    for f in fields(cls):
+        value = payload[f.name]
+        fits = eval(f"lambda {f.name}: {_check(f.type, f.name)}", {"_INT": _INT, "_NUM": _NUM})
+        if not fits(value):
+            if isinstance(value, (dict, list)):
+                shown = "an object" if isinstance(value, dict) else "an array"
+            else:
+                shown = json.dumps(value)
+                shown = shown if len(shown) <= 40 else shown[:37] + "..."
+            raise _BadField([_record_name(cls, payload)], f.name,
+                            f"{f.name} is {shown}, expected {_type_name(f.type)}")
 
 
 # Chain files ------------------------------------------------------------------
@@ -668,161 +905,19 @@ class _PublicChainFile:
     outputs: list[PublicOutput]
 
 
-class _Mistyped(Exception):
-    """A chain-file field of the wrong JSON type.  `where` names the records
-    holding it, outermost first; the outermost is the file itself."""
-
-    def __init__(self, where: list[str], field: str, value, expected: str):
-        super().__init__(field)
-        self.where, self.field, self.value, self.expected = where, field, value, expected
-
-    def __str__(self) -> str:
-        if isinstance(self.value, (dict, list)):
-            shown = "an object" if isinstance(self.value, dict) else "an array"
-        else:
-            shown = json.dumps(self.value)
-            shown = shown if len(shown) <= 40 else shown[:37] + "..."
-        where = "".join(f"{name}: " for name in self.where[1:])
-        return f"{where}{self.field} is {shown}, expected {self.expected}"
+@collector_paused()
+def save_chain(chain: Chain, path: Path) -> None:
+    save_record(_ChainFile(
+        format_version=FORMAT_VERSION, seed=chain.seed,
+        block_interval=chain.block_interval, coinbase_maturity=chain.coinbase_maturity,
+        blocks=chain.blocks,
+        transactions=[tx for _, tx in sorted(chain.transactions.items())],
+        outputs=[o for _, o in sorted(chain.outputs.items())]), path)
 
 
-def _optional(ann):
-    """X for an `X | None` annotation, else None."""
-    args = get_args(ann)
-    if isinstance(ann, UnionType) and len(args) == 2 and args[1] is NoneType:
-        return args[0]
-    return None
-
-
-def _item(ann):
-    """X for a `list[X]` annotation, else None."""
-    return get_args(ann)[0] if get_origin(ann) is list else None
-
-
-def _int_list(ann) -> bool:
-    item = _item(ann)
-    return item is int or (item is not None and _int_list(item))
-
-
-def _spelling(ann, v: str, env: dict) -> str:
-    """Expression text that spells `v`, of type `ann`, the way
-    `json.dumps(..., separators=(",", ":"))` does."""
-    if ann is bool:
-        return f'"true" if {v} else "false"'
-    if ann is int:
-        return v
-    if ann is str:
-        return f"_enc({v})"
-    if _optional(ann) is not None:
-        return f'"null" if {v} is None else {_spelling(_optional(ann), v, env)}'
-    if _int_list(ann):
-        return f'repr({v}).replace(" ", "")'
-    if is_dataclass(_item(ann)):
-        name = f"_w_{_item(ann).__name__}"
-        env[name] = _json_writer(_item(ann))
-        return f'"[" + ",".join(map({name}, {v})) + "]"'
-    raise TypeError(f"no JSON spelling for {ann}")
-
-
-@functools.cache
-def _json_writer(cls):
-    """`rec -> str`: the JSON text of a `cls` record, keys sorted, built once.
-
-    One f-string per class writes the s05 records in a third to a quarter
-    of the time that their field dicts plus `json.dumps(sort_keys=True)`
-    take.
-    """
-    env = {"_enc": encode_basestring_ascii}
-    items = ",".join(f"{json.dumps(f.name)}:{{{_spelling(f.type, 'r.' + f.name, env)}}}"
-                     for f in sorted(fields(cls), key=lambda f: f.name))
-    return eval(f"lambda r: f'{{{{{items}}}}}'", env)
-
-
-_INT = frozenset([int])
-
-
-def _check(ann, v: str, depth: int = 0) -> str:
-    """Expression text true when the parsed JSON value `v` fits `ann`; the
-    fields of the objects in a record list are checked by the record's own
-    reader."""
-    if ann in (bool, int, str):
-        return f"type({v}) is {ann.__name__}"
-    if _optional(ann) is not None:
-        return f"({v} is None or {_check(_optional(ann), v, depth)})"
-    item = _item(ann)
-    if item is int:
-        return f"(type({v}) is list and _INT.issuperset(map(type, {v})))"
-    if _int_list(ann):
-        x = f"x{depth}"
-        return f"(type({v}) is list and all({_check(item, x, depth + 1)} for {x} in {v}))"
-    if is_dataclass(item):
-        x = f"x{depth}"
-        return f"(type({v}) is list and all(type({x}) is dict for {x} in {v}))"
-    raise TypeError(f"no JSON check for {ann}")
-
-
-def _type_name(ann) -> str:
-    return ann.__name__ if isinstance(ann, type) else str(ann).replace(f"{__name__}.", "")
-
-
-@functools.cache
-def _json_reader(cls):
-    """`payload -> cls`: the record of a parsed JSON object, built once.
-
-    A missing field raises KeyError naming it, a field of another JSON type
-    raises _Mistyped; unknown keys are ignored.
-    """
-    env = {"_cls": cls, "_INT": _INT, "_Mistyped": _Mistyped,
-           "_mistyped": _mistyped, "_record_name": _record_name}
-    names = _field_names(cls)
-    args = []
-    for f in fields(cls):
-        item = _item(f.type)
-        if is_dataclass(item):
-            env[f"_r_{item.__name__}"] = _json_reader(item)
-            args.append(f"[_r_{item.__name__}(x) for x in {f.name}]")
-        else:
-            args.append(f.name)
-    checks = " and ".join(_check(f.type, f.name) for f in fields(cls))
-    exec(f"""def read(p):
-    {", ".join(names)}, = {", ".join(f"p[{n!r}]" for n in names)},
-    if not ({checks}):
-        _mistyped(_cls, p)
-    try:
-        return _cls({", ".join(args)})
-    except _Mistyped as err:
-        err.where.insert(0, _record_name(_cls, p))
-        raise
-""", env)
-    return env["read"]
-
-
-def _record_name(cls, payload: dict) -> str:
-    """The class name and, when the first field is an int id, its value."""
-    first = fields(cls)[0]
-    key = payload.get(first.name)
-    if first.type is int and type(key) is int:
-        return f"{cls.__name__} {key}"
-    return cls.__name__
-
-
-def _mistyped(cls, payload: dict):
-    """Raise _Mistyped for the first field of `payload` its check rejects."""
-    for f in fields(cls):
-        fits = eval(f"lambda {f.name}: {_check(f.type, f.name)}", {"_INT": _INT})
-        if not fits(payload[f.name]):
-            raise _Mistyped([_record_name(cls, payload)], f.name, payload[f.name],
-                            _type_name(f.type))
-
-
-def _write_records(rec, path: Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(_json_writer(type(rec))(rec) + "\n")
-
-
-def chain_from_dict(payload: dict) -> Chain:
-    rec = _json_reader(_ChainFile)(payload)
+@collector_paused()
+def load_chain(path: Path) -> Chain:
+    rec = load_record(_ChainFile, path)
     chain = Chain(block_interval=rec.block_interval,
                   coinbase_maturity=rec.coinbase_maturity, seed=rec.seed)
     chain.blocks = rec.blocks
@@ -837,30 +932,8 @@ def chain_from_dict(payload: dict) -> Chain:
 
 
 @collector_paused()
-def save_chain(chain: Chain, path: Path) -> None:
-    _write_records(_ChainFile(
-        format_version=FORMAT_VERSION, seed=chain.seed,
-        block_interval=chain.block_interval, coinbase_maturity=chain.coinbase_maturity,
-        blocks=chain.blocks,
-        transactions=[tx for _, tx in sorted(chain.transactions.items())],
-        outputs=[o for _, o in sorted(chain.outputs.items())]), path)
-
-
-@collector_paused()
-def load_chain(path: Path) -> Chain:
-    return load_versioned(path, chain_from_dict)
-
-
-def public_chain_from_dict(payload: dict) -> PublicChain:
-    rec = _json_reader(_PublicChainFile)(payload)
-    return PublicChain(blocks=rec.blocks,
-                       transactions={tx.tx_id: tx for tx in rec.transactions},
-                       outputs={o.output_id: o for o in rec.outputs})
-
-
-@collector_paused()
 def save_public_chain(pub: PublicChain, path: Path) -> None:
-    _write_records(_PublicChainFile(
+    save_record(_PublicChainFile(
         format_version=FORMAT_VERSION, blocks=pub.blocks,
         transactions=[tx for _, tx in sorted(pub.transactions.items())],
         outputs=[o for _, o in sorted(pub.outputs.items())]), path)
@@ -868,4 +941,7 @@ def save_public_chain(pub: PublicChain, path: Path) -> None:
 
 @collector_paused()
 def load_public_chain(path: Path) -> PublicChain:
-    return load_versioned(path, public_chain_from_dict)
+    rec = load_record(_PublicChainFile, path)
+    return PublicChain(blocks=rec.blocks,
+                       transactions={tx.tx_id: tx for tx in rec.transactions},
+                       outputs={o.output_id: o for o in rec.outputs})

@@ -7,14 +7,14 @@ is the task defaults, so a budget of one is a single k-fold evaluation.
 """
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from ..errors import ConstantTarget, DegenerateLabels, Diverged
 from ..features import CandidateTable, FeatureMatrix
-from ..ledger import dump_csv, dump_json, record_to_dict
+from ..ledger import dump_csv, dump_json
 from .crossval import ModelSpec, SearchSpec, fit_model, kfold_eval
 from .forest import feature_importance
 
@@ -265,7 +265,7 @@ def save_report(report: ModelReport, out_dir: Path) -> dict[str, Path]:
     out_dir = Path(out_dir)
     paths = {name: out_dir / name
              for name in ("report.json", "importance.csv", "trials.csv")}
-    dump_json({"format_version": FORMAT_VERSION, **_plain(record_to_dict(report))},
+    dump_json({"format_version": FORMAT_VERSION, **_plain(asdict(report))},
               paths["report.json"])
     dump_csv(["rank", "feature", "weight"],
              ([rank, name, float(weight)] for rank, (name, weight)

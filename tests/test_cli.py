@@ -420,6 +420,86 @@ def test_mistyped_ring_member_names_its_transaction(workdir, tmp_path, capsys):
                               "an array, expected list[int]")
 
 
+def _set(obj, path, value):
+    """Set `obj[path[0]]...[path[-1]]` to `value`."""
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = value
+
+
+# (path in economy.json, value, message tail); "0" is agent 0's schedule
+MISTYPED_ECONOMY = [
+    (("spec", "sim", "block_interval"), "240",
+     'spec: sim: block_interval is "240", expected int'),
+    (("spec", "ring_size"), "11", 'spec: ring_size is "11", expected int'),
+    (("spec", "sim", "fee"), "1", 'spec: sim: fee is "1", expected int'),
+    (("spec", "sim", "recency_shape"), "1",
+     'spec: sim: recency_shape is "1", expected float'),
+    (("files", "0", 0, "amount"), "5",
+     'files: 0: ScheduledTx: amount is "5", expected int'),
+    (("files", "0", 0, "wait"), "60", 'files: 0: ScheduledTx: wait is "60", expected int'),
+    (("spec", "agents", 0, "active_windows"), [[0, 12, 3]],
+     "spec: AgentProfile 0: active_windows is an array, "
+     "expected list[tuple[float, float]]"),
+]
+
+
+@pytest.mark.parametrize("path, value, tail", MISTYPED_ECONOMY,
+                         ids=[p[-1] for p, _, _ in MISTYPED_ECONOMY])
+def test_mistyped_economy_field_exit_2(workdir, tmp_path, capsys, path, value, tail):
+    economy = json.loads((workdir / "econ" / "economy.json").read_text())
+    _set(economy, path, value)
+    bad = tmp_path / "economy.json"
+    bad.write_text(json.dumps(economy))
+    assert main(["simulate", "--economy", str(bad), "--out", str(tmp_path / "out")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "SchemaError"
+    assert err["message"] == f"{bad}: {tail} (field '{path[-1]}')"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("path, value, field", [
+    (("spec", "sim", "decoy_kind"), "bogus", "decoy_kind"),
+    (("spec", "sim", "recency_shape"), 0, "recency_shape"),
+    (("spec", "ring_size"), 0, "ring_size"),
+    (("files", "x"), [], "files"),
+    (("spec", "agents", 0, "active_windows"), [[20, 30]], "active_windows"),
+    (("files", "0", 0, "amount"), -5, "amount"),
+    (("files", "0", 0, "dest"), 99, "dest"),
+    (("files", "0", 0, "wait"), -60, "wait"),
+])
+def test_economy_value_out_of_range_exit_2(workdir, tmp_path, capsys, path, value, field):
+    economy = json.loads((workdir / "econ" / "economy.json").read_text())
+    _set(economy, path, value)
+    bad = tmp_path / "economy.json"
+    bad.write_text(json.dumps(economy))
+    assert main(["simulate", "--economy", str(bad), "--out", str(tmp_path / "out")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InvalidSimParams" and field in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda stats: {**stats, "columns": 5}, "columns"),
+    (lambda stats: {"format_version": 1}, "columns"),
+    (lambda stats: {**stats, "format_version": 2}, "format_version"),
+    (lambda stats: stats["columns"], "format_version"),
+], ids=["columns_5", "no_columns", "version_2", "top_level_array"])
+def test_malformed_norm_stats_exit_2(workdir, tmp_path, capsys, edit, field):
+    (tmp_path / "features_raw.csv").write_bytes(
+        (workdir / "fx" / "features_raw.csv").read_bytes())
+    stats = json.loads((workdir / "fx" / "norm_stats.json").read_text())
+    (tmp_path / "norm_stats.json").write_text(json.dumps(edit(stats)))
+    assert main(["train", "--task", "value", "--features", str(tmp_path),
+                 "--labels", str(workdir / "sim" / "labels.csv"), "--folds", "2",
+                 "--out", str(tmp_path / "t")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "SchemaError"
+    assert err["message"].startswith(f"{tmp_path / 'norm_stats.json'}: ")
+    assert err["message"].endswith(f"(field '{field}')")
+    assert not (tmp_path / "t").exists()
+
+
 def test_ingest_header_only_labels_no_numpy_warning(dump, tmp_path, capsys, recwarn):
     path = tmp_path / "labels.csv"
     path.write_text("tx_hash,label\n")

@@ -13,12 +13,12 @@ from ringtrace.economy import (
     AgentProfile,
     EconomySpec,
     SimParams,
-    economy_from_dict,
-    economy_to_dict,
     export_ground_truth,
     gen_economy,
     graph_edges,
+    load_economy,
     run_simulation,
+    save_economy,
     scenario_preset,
     shift_into_windows,
 )
@@ -349,14 +349,18 @@ def test_true_edges_need_secrets():
         graph_edges(public_view(chain), "true")
 
 
-def test_economy_round_trip():
+def test_economy_round_trip(tmp_path):
     # s06 agents carry trading windows
     for name in ("s03", "s06"):
         spec = scenario_preset(name, seed=9)
         files = gen_economy(spec, Rng(9))
-        d1 = economy_to_dict(spec, files)
-        spec2, files2 = economy_from_dict(json.loads(json.dumps(d1)))
+        path = tmp_path / f"{name}.json"
+        save_economy(spec, files, path)
+        spec2, files2 = load_economy(path)
         assert (spec2, files2) == (spec, files)
-        assert economy_to_dict(spec2, files2) == d1
-        d1["spec"]["sim"]["bogus"] = 1  # ignored like any record's unknown key
-        assert economy_from_dict(d1)[0] == spec
+        save_economy(spec2, files2, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+        payload = json.loads(path.read_text())
+        payload["spec"]["sim"]["bogus"] = 1  # ignored like any record's unknown key
+        path.write_text(json.dumps(payload))
+        assert load_economy(path) == (spec, files)

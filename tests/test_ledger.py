@@ -3,9 +3,15 @@
 import copy
 import json
 import math
+from dataclasses import asdict, fields, is_dataclass
+from types import UnionType
+from typing import get_args, get_origin
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ringtrace import economy, features, ledger
 from ringtrace.errors import DoubleSpend, InsufficientFunds, PoolTooSmall
 from ringtrace.ledger import (
     Chain,
@@ -363,3 +369,52 @@ def test_loaded_chain_can_keep_building(funded_chain, tmp_path):
     clone = load_chain(tmp_path / "chain.json")
     send(clone, 1, 0, 5, Rng(21))
     assert validate_chain(clone).ok
+
+
+# record codec ---------------------------------------------------------------
+
+CODEC_RECORDS = [
+    ledger.Output, ledger.RingInput, ledger.Transaction, ledger.Block,
+    ledger.PublicBlock, ledger.PublicOutput, ledger.PublicTx,
+    ledger._ChainFile, ledger._PublicChainFile,
+    economy.AgentProfile, economy.SimParams, economy.ScheduledTx,
+    economy._SpecFile, economy._EconomyFile,
+    features.ColumnStats, features._NormStatsFile,
+]
+
+
+def _values(ann):
+    """Values of annotation `ann`, edge cases included: floats at the ends
+    of their range and of both signs of zero, ints in float fields,
+    non-ASCII text and keys that sort differently as strings and numbers."""
+    if ann is bool:
+        return st.booleans()
+    if ann is int:
+        return st.integers()
+    if ann is float:
+        return (st.floats(allow_nan=False, allow_infinity=False) | st.integers()
+                | st.sampled_from([-0.0, 5e-324, -5e-324, 1e308, -1e308]))
+    if ann is str:
+        return st.text(max_size=6) | st.sampled_from(["naïve", "日本", '"\\\x00/'])
+    if is_dataclass(ann):
+        return st.builds(ann, *[_values(f.type) for f in fields(ann)])
+    args = get_args(ann)
+    if isinstance(ann, UnionType):
+        return st.none() | _values(args[0])
+    if get_origin(ann) is list:
+        return st.lists(_values(args[0]), max_size=3)
+    if get_origin(ann) is tuple:
+        return st.tuples(*map(_values, args))
+    assert get_origin(ann) is dict, ann
+    return st.dictionaries(st.sampled_from(["9", "10", "2", "é"]) | st.text(max_size=3),
+                           _values(args[1]), max_size=4)
+
+
+@pytest.mark.parametrize("cls", CODEC_RECORDS, ids=lambda cls: cls.__name__)
+@settings(max_examples=40)
+@given(data=st.data())
+def test_codec_writes_json_dumps_text_and_reads_it_back(cls, data):
+    rec = data.draw(_values(cls))
+    text = ledger._json_writer(cls)(rec)
+    assert text == json.dumps(asdict(rec), sort_keys=True, separators=(",", ":"))
+    assert ledger._json_reader(cls)(json.loads(text)) == rec

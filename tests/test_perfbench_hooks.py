@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from ringtrace import cli, economy, ledger
-from ringtrace.features import FeatureMatrix, write_feature_matrix
+from ringtrace.features import FeatureMatrix, read_feature_matrix, write_feature_matrix
 from ringtrace.ml import ForestHyperParams, ModelSpec, SearchSpec, tasks, train_forest
 from ringtrace.rng import Rng
 
@@ -119,3 +119,21 @@ def test_steps_cli_scaling_reaches_cli_main(tmp_path, monkeypatch):
                         "--out", str(tmp_path / "out")]})
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["best_params"]["n_trees"] == scaled
+
+
+def test_steps_set_up_files_read_back(tmp_path, monkeypatch):
+    """The set-up steps that call save_economy and write_feature_matrix
+    outside the CLI write files the CLI and the readers take."""
+    steps = _load("steps")
+    for key, params in cli.TASK_DEFAULTS.items():  # restored after the test
+        monkeypatch.setitem(cli.TASK_DEFAULTS, key, dict(params))
+    steps.generate({"scenario": "s03", "seed": 7, "out": str(tmp_path / "gen"),
+                    "transfers": 40})
+    spec, files = economy.load_economy(tmp_path / "gen" / "economy.json")
+    assert spec.target_tx_count == sum(map(len, files.values())) == 40
+    steps.cli({"argv": ["simulate", "--economy", str(tmp_path / "gen" / "economy.json"),
+                        "--out", str(tmp_path / "sim")]})
+    steps.featurize_matrix({"chain": str(tmp_path / "sim" / "public_chain.json"),
+                            "out": str(tmp_path / "fx")})
+    fm = read_feature_matrix(tmp_path / "fx")
+    assert fm.raw.shape == (40, 182)
