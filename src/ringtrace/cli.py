@@ -18,7 +18,7 @@ from . import economy as econ
 from . import features as feats
 from . import ingest as ing
 from . import ledger
-from .errors import DegenerateLabels, ModeRequiresSecrets, RingtraceError
+from .errors import DegenerateLabels, InvalidSimParams, ModeRequiresSecrets, RingtraceError
 from .ml import ModelSpec, SearchSpec, group_task, save_report, spoof_task, value_task
 from .rng import Rng
 
@@ -87,10 +87,17 @@ def cmd_simulate(args) -> int:
     spec, files = econ.load_economy(path)
     params = spec.sim
     if args.block_interval is not None:
+        if args.block_interval < 1:
+            raise InvalidSimParams("--block-interval: block_interval must be >= 1, "
+                                   f"got {args.block_interval}")
         params.block_interval = args.block_interval
     if args.processing_delay is not None:
         params.processing_delay = args.processing_delay
-    chain, gt = econ.run_simulation(files, spec, params)
+    try:
+        chain, gt = econ.run_simulation(files, spec)
+    except InvalidSimParams as err:
+        # every other setting comes from the economy file
+        raise InvalidSimParams(f"{path}: {err}") from None
     report = ledger.validate_chain(chain)
     out = Path(args.out)
     ledger.save_chain(chain, out / "chain.json")

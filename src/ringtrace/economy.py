@@ -246,9 +246,7 @@ def shift_into_windows(t: int, windows: list[tuple[int, int]]) -> int:
 # Simulation ----------------------------------------------------------------------
 
 @collector_paused()
-def run_simulation(files: EconomyFile, spec: EconomySpec,
-                   params: SimParams | None = None,
-                   rng: Rng | None = None) -> tuple[Chain, GroundTruth]:
+def run_simulation(files: EconomyFile, spec: EconomySpec) -> tuple[Chain, GroundTruth]:
     """Event loop: mine on a fixed cadence, build transfers as they come due.
 
     Request times are the cumulative Poisson waits shifted into each agent's
@@ -256,7 +254,7 @@ def run_simulation(files: EconomyFile, spec: EconomySpec,
     every block; mining income makes it affordable eventually, and persistent
     failure triggers a StalledWarning with partial output returned.
     """
-    params = params or spec.sim
+    params = spec.sim
     if params.block_interval < 1:
         # block times would not advance, so no request would come due
         raise InvalidSimParams(f"block_interval must be >= 1, got {params.block_interval}")
@@ -266,8 +264,7 @@ def run_simulation(files: EconomyFile, spec: EconomySpec,
     unknown = sorted(set(files) - set(profiles))
     if unknown:
         raise InvalidSimParams(f"files: {unknown[0]} names no agent")
-    rng = rng or Rng(spec.seed)
-    sim_rng = rng.fork("simulation")
+    sim_rng = Rng(spec.seed).fork("simulation")
     interval = params.block_interval
     chain = Chain(block_interval=interval, coinbase_maturity=params.coinbase_maturity,
                   seed=spec.seed)
@@ -429,11 +426,11 @@ def load_economy(path: Path) -> tuple[EconomySpec, EconomyFile]:
     s = rec.spec
     spec = EconomySpec(name=s.name, agents=s.agents, target_tx_count=s.target_tx_count,
                        ring_size=s.ring_size, seed=rec.seed, sim=s.sim)
-    return spec, {_agent_key(key): schedule for key, schedule in rec.files.items()}
+    return spec, {_agent_key(path, key): schedule for key, schedule in rec.files.items()}
 
 
-def _agent_key(key: str) -> int:
+def _agent_key(path: Path, key: str) -> int:
     try:
         return int(key)
     except ValueError:
-        raise InvalidSimParams(f"files: key {key!r} is not an agent id") from None
+        raise InvalidSimParams(f"{path}: files: key {key!r} is not an agent id") from None

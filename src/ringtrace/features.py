@@ -159,11 +159,6 @@ def _scale(centered: np.ndarray, stds: np.ndarray) -> np.ndarray:
     return centered
 
 
-def invert_normalization(normalized: np.ndarray, means: np.ndarray,
-                         stds: np.ndarray) -> np.ndarray:
-    return normalized * stds + means
-
-
 def featurize_chain(chain: PublicChain, include_coinbase: bool = False) -> FeatureMatrix:
     """Full 182-column matrix over transfer rows (coinbase rows optional).
 
@@ -313,25 +308,19 @@ def write_feature_matrix(fm: FeatureMatrix, out_dir: Path,
                          include_coverage: bool = False) -> dict[str, Path]:
     """features.csv (normalized), features_raw.csv, norm_stats.json.
 
+    Each CSV is a `tx_id` column and the feature columns, written by
+    _write_table as csv.writer writes the int ids and the float cells.
     include_coverage appends the per-row neighbor-coverage fraction as a
     trailing column outside the feature contract (partial external dumps).
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    header = ["tx_id"] + list(fm.names)
-    extra = None
-    if include_coverage and fm.coverage is not None:
-        header = header + ["coverage"]
-        extra = fm.coverage
+    extra = [fm.coverage] if include_coverage and fm.coverage is not None else []
+    header = ["tx_id", *fm.names] + ["coverage"] * len(extra)
+    tx_ids = np.asarray(fm.tx_ids, dtype=np.int64)
     paths = {}
     for fname, mat in (("features.csv", fm.normalized), ("features_raw.csv", fm.raw)):
-        rows = (
-            [tx_id] + [float(v) for v in row]
-            + ([float(extra[i])] if extra is not None else [])
-            for i, (tx_id, row) in enumerate(zip(fm.tx_ids, mat))
-        )
-        dump_csv(header, rows, out_dir / fname)
         paths[fname] = out_dir / fname
+        _write_table(paths[fname], header, [tx_ids, *mat.T, *extra])
     paths["norm_stats.json"] = out_dir / "norm_stats.json"
     save_record(_NormStatsFile(FORMAT_VERSION, [
         ColumnStats(n, float(m), float(s))
@@ -419,32 +408,36 @@ def read_feature_matrix(out_dir: Path) -> FeatureMatrix:
 
 
 def write_candidates(table: CandidateTable, path: Path) -> None:
-    header = ["tx_id", "ring_index", "candidate_index"] + list(table.names)
-    path = Path(path)
+    _write_table(Path(path), ["tx_id", "ring_index", "candidate_index", *table.names],
+                 [*table.keys.T, *table.raw.T])
+
+
+_CHUNK_CELLS = 2**18  # cells formatted per write: bounds the text held at once
+
+
+def _write_table(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
+    """A CSV of int64 and float64 columns, as csv.writer writes the header
+    and Python ints and floats: each cell its value's repr, comma-separated,
+    CRLF-ended.
+
+    Rows go out in chunks of about _CHUNK_CELLS cells, so the text held at
+    once does not grow with the file.  Within a chunk each distinct value of
+    a column is formatted once; values are told apart by their bits, since
+    0.0 and -0.0 are equal but print differently.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
+    step = max(1, _CHUNK_CELLS // len(columns))
     with path.open("w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        _write_rows(fh, [*table.keys.T, *table.raw.T])
-
-
-_WRITE_CHUNK = 4096  # rows formatted per write: bounds the text held at once
-
-
-def _write_rows(fh, columns: list[np.ndarray]) -> None:
-    """The rows of int64 or float64 columns as csv.writer writes Python ints
-    and floats (their repr, comma-separated, CRLF-ended), each distinct value
-    of a column formatted once.  Values are told apart by their bits, since
-    0.0 and -0.0 are equal but print differently."""
-    bits = [col.view(np.int64) for col in columns]
-    distinct = [np.unique(b) for b in bits]
-    text = np.array([repr(v) for col, u in zip(columns, distinct)
-                     for v in u.view(col.dtype).tolist()], dtype=object)
-    offsets = np.cumsum([0] + [u.size for u in distinct[:-1]])
-    for start in range(0, columns[0].size, _WRITE_CHUNK):
-        cells = np.column_stack([
-            np.searchsorted(u, b[start:start + _WRITE_CHUNK]) + off
-            for b, u, off in zip(bits, distinct, offsets)])
-        fh.write("".join(",".join(row) + "\r\n" for row in text[cells].tolist()))
+        for start in range(0, len(columns[0]), step):
+            texts = []
+            for col in columns:
+                distinct, cell = np.unique(col[start:start + step].view(np.int64),
+                                           return_inverse=True)
+                text = np.array(list(map(repr, distinct.view(col.dtype).tolist())),
+                                dtype=object)
+                texts.append(text[cell].tolist())
+            fh.write("".join(",".join(row) + "\r\n" for row in zip(*texts)))
 
 
 def read_candidates(path: Path) -> CandidateTable:

@@ -845,12 +845,14 @@ def _json_reader(cls):
 
 def _record_name(cls, payload: dict) -> str:
     """The class name and, when the first field is an int id (`height` or
-    `..._id`), its value."""
+    `..._id`), its value, or when it is a string `name`, that name quoted."""
     first = fields(cls)[0]
     key = payload.get(first.name)
     if (first.type is int and type(key) is int
             and (first.name == "height" or first.name.endswith("_id"))):
         return f"{cls.__name__} {key}"
+    if first.name == "name" and type(key) is str:
+        return f"{cls.__name__} {json.dumps(key)}"
     return cls.__name__
 
 

@@ -181,11 +181,8 @@ def spoof_task(table: CandidateTable, real_indices: dict[int, list[int]],
         return rids, grid.argmax(axis=1)
 
     def evaluate(model, X_te, y_te, test_idx):
-        if hasattr(model, "predict_proba"):
-            pos = int(np.flatnonzero(model.classes_ == 1)[0])
-            scores = model.predict_proba(X_te)[:, pos]
-        else:
-            scores = model.predict(X_te)
+        pos = int(np.flatnonzero(model.classes_ == 1)[0])
+        scores = model.predict_proba(X_te)[:, pos]
         # groups keep every ring whole within one fold
         rids, top = top1(scores, test_idx)
         chance = sum((1.0 / sizes[rids]).tolist())

@@ -476,7 +476,13 @@ def test_economy_value_out_of_range_exit_2(workdir, tmp_path, capsys, path, valu
     assert main(["simulate", "--economy", str(bad), "--out", str(tmp_path / "out")]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "InvalidSimParams" and field in err["message"]
+    assert err["message"].startswith(f"{bad}: ")
     assert not (tmp_path / "out").exists()
+
+
+def _mistyped_first_mean(stats: dict) -> dict:
+    return {**stats, "columns": [{**stats["columns"][0], "mean": "x"},
+                                 *stats["columns"][1:]]}
 
 
 @pytest.mark.parametrize("edit, field", [
@@ -484,7 +490,8 @@ def test_economy_value_out_of_range_exit_2(workdir, tmp_path, capsys, path, valu
     (lambda stats: {"format_version": 1}, "columns"),
     (lambda stats: {**stats, "format_version": 2}, "format_version"),
     (lambda stats: stats["columns"], "format_version"),
-], ids=["columns_5", "no_columns", "version_2", "top_level_array"])
+    (_mistyped_first_mean, "mean"),
+], ids=["columns_5", "no_columns", "version_2", "top_level_array", "mean_x"])
 def test_malformed_norm_stats_exit_2(workdir, tmp_path, capsys, edit, field):
     (tmp_path / "features_raw.csv").write_bytes(
         (workdir / "fx" / "features_raw.csv").read_bytes())
@@ -497,6 +504,9 @@ def test_malformed_norm_stats_exit_2(workdir, tmp_path, capsys, edit, field):
     assert err["error"] == "SchemaError"
     assert err["message"].startswith(f"{tmp_path / 'norm_stats.json'}: ")
     assert err["message"].endswith(f"(field '{field}')")
+    if field == "mean":  # a column is named by its name
+        first = stats["columns"][0]["name"]
+        assert f'ColumnStats "{first}": mean is "x", expected float' in err["message"]
     assert not (tmp_path / "t").exists()
 
 

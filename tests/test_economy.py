@@ -266,7 +266,7 @@ def test_simulation_pauses_and_restores_the_collector(monkeypatch, enabled):
         run_simulation(files, spec)
         assert gc.isenabled() is enabled
         with pytest.raises(InvalidSimParams):
-            run_simulation(files, spec, replace(spec.sim, block_interval=0))
+            run_simulation(files, replace(spec, sim=replace(spec.sim, block_interval=0)))
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()

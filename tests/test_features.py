@@ -6,6 +6,7 @@ import datetime
 import io
 import statistics
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,10 +24,10 @@ from ringtrace.features import (
     ONE_HOP_NAMES,
     ZERO_HOP_NAMES,
     CandidateTable,
+    FeatureMatrix,
     apply_normalization,
     candidate_table,
     featurize_chain,
-    invert_normalization,
     normalize_columns,
     one_hop,
     read_candidates,
@@ -222,7 +223,7 @@ def test_normalization_contract(sim_public):
 def test_normalization_inverts(sim_public):
     fm = featurize_chain(sim_public)
     nz = fm.norm_stds > 0
-    restored = invert_normalization(fm.normalized, fm.norm_means, fm.norm_stds)
+    restored = fm.normalized * fm.norm_stds + fm.norm_means
     scale = np.abs(fm.raw[:, nz]).max(axis=0) + 1
     err = np.abs(restored[:, nz] - fm.raw[:, nz]) / scale
     assert err.max() < 1e-12
@@ -488,20 +489,42 @@ def test_feature_files_round_trip_bit_identical(sim_public, tmp_path):
     assert np.array_equal(back.raw, table.raw)
 
 
-def _reference_candidates_csv(table: CandidateTable) -> bytes:
-    """candidates.csv as csv.writer writes the key ints and the raw floats."""
+def _reference_csv(header: list[str], rows) -> bytes:
+    """The file csv.writer writes for the header and rows of Python values."""
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
-    writer.writerow(["tx_id", "ring_index", "candidate_index"] + list(table.names))
-    writer.writerows(key + [float(v) for v in row]
-                     for key, row in zip(table.keys.tolist(), table.raw))
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue().encode()
+
+
+def _reference_candidates_csv(table: CandidateTable) -> bytes:
+    """candidates.csv as csv.writer writes the key ints and the raw floats."""
+    return _reference_csv(["tx_id", "ring_index", "candidate_index"] + list(table.names),
+                          (key + [float(v) for v in row]
+                           for key, row in zip(table.keys.tolist(), table.raw)))
+
+
+def _reference_feature_csvs(fm: FeatureMatrix, include_coverage: bool) -> dict[str, bytes]:
+    """features.csv and features_raw.csv as csv.writer writes the tx_id ints,
+    the feature floats and, with include_coverage, the coverage floats."""
+    header = ["tx_id"] + list(fm.names) + (["coverage"] if include_coverage else [])
+    extra = [[float(c)] if include_coverage else [] for c in fm.coverage]
+    return {fname: _reference_csv(header, ([t] + [float(v) for v in row] + more
+                                           for t, row, more in zip(fm.tx_ids, mat, extra)))
+            for fname, mat in (("features.csv", fm.normalized), ("features_raw.csv", fm.raw))}
 
 
 def _candidates_bytes(table: CandidateTable) -> bytes:
     with tempfile.TemporaryDirectory() as tmp:
         write_candidates(table, Path(tmp) / "candidates.csv")
         return (Path(tmp) / "candidates.csv").read_bytes()
+
+
+def _feature_bytes(fm: FeatureMatrix, include_coverage: bool) -> dict[str, bytes]:
+    with tempfile.TemporaryDirectory() as tmp:
+        write_feature_matrix(fm, Path(tmp), include_coverage=include_coverage)
+        return {f: (Path(tmp) / f).read_bytes() for f in ("features.csv", "features_raw.csv")}
 
 
 def _ring_keys(rows: int, ring_size: int, first_tx: int, tx_step: int) -> np.ndarray:
@@ -512,31 +535,81 @@ def _ring_keys(rows: int, ring_size: int, first_tx: int, tx_step: int) -> np.nda
 
 _TRICKY = st.sampled_from([0.0, -0.0, 1e-05, 1e16, 5e-324, -5e-324, 0.1, 1.0,
                            2.0**63, 123456789012345678.0, -2.5])
+_CELLS = (_TRICKY | st.floats(allow_nan=False, allow_infinity=False)
+          | st.integers(-10**18, 10**18).map(float))
+
+
+def _with_both_zeros(raw: np.ndarray) -> np.ndarray:
+    # both zeros in one column: equal floats that print differently
+    return np.vstack([raw, np.zeros(raw.shape[1]), np.full(raw.shape[1], -0.0)])
 
 
 @settings(max_examples=100)
-@given(arrays(np.float64, st.tuples(st.integers(0, 15), st.integers(1, 5)),
-              elements=_TRICKY | st.floats(allow_nan=False, allow_infinity=False)
-              | st.integers(-10**18, 10**18).map(float)),
+@given(arrays(np.float64, st.tuples(st.integers(0, 15), st.integers(1, 5)), elements=_CELLS),
        st.integers(1, 4), st.integers(0, 2**62), st.integers(1, 2**20))
 def test_candidates_writer_matches_csv_writer(raw, ring_size, first_tx, tx_step):
-    # both zeros in one column: equal floats that print differently
-    raw = np.vstack([raw, np.zeros(raw.shape[1]), np.full(raw.shape[1], -0.0)])
+    raw = _with_both_zeros(raw)
     keys = _ring_keys(raw.shape[0], ring_size, first_tx, tx_step)
     table = CandidateTable(keys, tuple(f"c{j}" for j in range(raw.shape[1])), raw)
     assert _candidates_bytes(table) == _reference_candidates_csv(table)
 
 
-def test_candidates_writer_across_row_chunks(sim_public):
-    # more rows than one write chunk, rows of a real table between tricky ones
-    real = candidate_table(sim_public).raw
+@settings(max_examples=100)
+@given(arrays(np.float64, st.tuples(st.integers(0, 15), st.integers(1, 5)), elements=_CELLS),
+       st.data(), st.integers(0, 2**62), st.integers(1, 2**20), st.booleans())
+def test_feature_writer_matches_csv_writer(raw, data, first_tx, tx_step, include_coverage):
+    raw = _with_both_zeros(raw)
+    rows = raw.shape[0]
+    coverage = data.draw(arrays(np.float64, rows, elements=_CELLS))
+    fm = FeatureMatrix(tx_ids=[first_tx + i * tx_step for i in range(rows)],
+                       names=tuple(f"f{j}" for j in range(raw.shape[1])), raw=raw,
+                       coverage=coverage)
+    with np.errstate(all="ignore"):  # huge cells may overflow the normalization
+        assert _feature_bytes(fm, include_coverage) == \
+            _reference_feature_csvs(fm, include_coverage)
+
+
+def _tricky_rows(real: np.ndarray) -> np.ndarray:
+    """Rows of a real matrix between rows of tricky cells."""
     rng = np.random.default_rng(15)
     tricky = rng.choice([0.0, -0.0, 1e-05, 1e16, 5e-324, 0.1], size=(4000, real.shape[1]))
-    raw = np.vstack([tricky, real, tricky[::-1], real])
+    return np.vstack([tricky, real, tricky[::-1], real])
+
+
+def test_candidates_writer_across_row_chunks(sim_public):
+    raw = _tricky_rows(candidate_table(sim_public).raw)
     table = CandidateTable(_ring_keys(raw.shape[0], 11, 10**12, 3),
                            CANDIDATE_NAMES, raw)
-    assert raw.shape[0] > 2 * features._WRITE_CHUNK
+    assert raw.shape[0] > 2 * features._CHUNK_CELLS // (3 + raw.shape[1])
     assert _candidates_bytes(table) == _reference_candidates_csv(table)
+
+
+@pytest.mark.parametrize("include_coverage", [False, True])
+def test_feature_writer_across_row_chunks(sim_public, include_coverage):
+    fm = featurize_chain(sim_public)
+    raw = _tricky_rows(fm.raw)
+    rng = np.random.default_rng(16)
+    fm = FeatureMatrix(tx_ids=list(range(10**12, 10**12 + 3 * raw.shape[0], 3)),
+                       names=fm.names, raw=raw,
+                       coverage=rng.choice([0.0, 0.25, 1 / 3, 1.0], size=raw.shape[0]))
+    assert raw.shape[1] == 182
+    assert raw.shape[0] > 2 * features._CHUNK_CELLS // (2 + raw.shape[1])
+    assert _feature_bytes(fm, include_coverage) == _reference_feature_csvs(fm, include_coverage)
+
+
+def test_table_writer_memory_is_bounded(tmp_path):
+    # all-distinct cells: formatting the whole file at once held every cell
+    # as a string (220 MB here); a chunk holds about 30 MB
+    rng = np.random.default_rng(17)
+    columns = [np.arange(12_000, dtype=np.int64), *rng.normal(size=(182, 12_000))]
+    header = [f"c{j}" for j in range(len(columns))]
+    tracemalloc.start()
+    try:
+        features._write_table(tmp_path / "table.csv", header, columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 60e6
 
 
 def test_feature_csv_without_tx_id_is_schema_error(sim_public, tmp_path):
