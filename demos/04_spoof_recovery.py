@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
 """Attack the ring: score every candidate member and bet on the real spend.
 
-A forest trained on per-candidate features (member profile, spend-to-creation
-delta, age rank) has to beat the 1-in-ring_size guess.  Heterogeneous agent
-tempos leak enough pattern-of-life for a real edge.
+A forest trained on 9 columns per candidate (the 7 intrinsic columns of the
+transaction that created the member, the spend-to-creation delta and the
+member's age rank in its ring) has to beat the 1-in-ring_size guess.  With
+so few columns every node weighs all of them (`max_features` 1.0, as the
+CLI's spoof default).  Heterogeneous agent tempos and oldest-first coin
+selection leak enough pattern-of-life for a real edge.
 """
 
 from ringtrace import Rng, candidate_table, public_view
@@ -22,7 +25,7 @@ print(f"candidates: {table.raw.shape[0]} rows "
       f"({len(truth.real_indices)} transfers, ring size {spec.ring_size})")
 
 model = ModelSpec("forest", "classify",
-                  {"n_trees": 20, "max_depth": 12, "max_features": 0.15,
+                  {"n_trees": 20, "max_depth": 12, "max_features": 1.0,
                    "min_samples_split": 8},
                   class_weight="balanced")
 report = spoof_task(table, truth.real_indices, model,

@@ -25,7 +25,7 @@ from .rng import Rng
 FORMAT_VERSION = 1
 
 TASK_DEFAULTS = {
-    ("spoof", "forest"): {"n_trees": 24, "max_depth": 14, "max_features": 0.15,
+    ("spoof", "forest"): {"n_trees": 24, "max_depth": 14, "max_features": 1.0,
                           "min_samples_split": 12},
     ("group", "forest"): {"n_trees": 60, "max_depth": 12},
     ("value", "forest"): {"n_trees": 60, "max_depth": 12},

@@ -50,11 +50,7 @@ ONE_HOP_NAMES = tuple(
 FEATURE_NAMES = ZERO_HOP_NAMES + ONE_HOP_NAMES
 N_FEATURES = len(FEATURE_NAMES)  # 182
 
-CANDIDATE_NAMES = (
-    tuple(f"member_{f}" for f in ZERO_HOP_NAMES)
-    + ("delta_time", "age_rank")
-    + tuple(f"member_{f}" for f in ONE_HOP_NAMES)
-)
+CANDIDATE_NAMES = tuple(f"member_{f}" for f in ZERO_HOP_NAMES) + ("delta_time", "age_rank")
 
 _DAY = 86_400
 
@@ -172,19 +168,13 @@ def featurize_chain(chain: PublicChain, include_coinbase: bool = False) -> Featu
     if not tx_ids:
         raise EmptyChain("no transactions to featurize")
 
-    raw = _tx_rows(chain, tx_ids)
-    cov = np.array([ring_coverage(chain.transactions[t], chain) for t in tx_ids])
-    return FeatureMatrix(tx_ids=tx_ids, names=FEATURE_NAMES, raw=raw, coverage=cov)
-
-
-def _tx_rows(chain: PublicChain, tx_ids: list[int]) -> np.ndarray:
-    """[zero_hop | one_hop] per tx_id; a ring-less row zero-fills its one-hop block."""
-    rows = np.zeros((len(tx_ids), N_FEATURES), dtype=np.float64)
-    for row, tx in zip(rows, map(chain.transactions.get, tx_ids)):
+    raw = np.zeros((len(tx_ids), N_FEATURES), dtype=np.float64)
+    for row, tx in zip(raw, map(chain.transactions.get, tx_ids)):
         row[:7] = zero_hop(tx)
         if tx.rings:
             row[7:] = one_hop(tx, chain)
-    return rows
+    cov = np.array([ring_coverage(chain.transactions[t], chain) for t in tx_ids])
+    return FeatureMatrix(tx_ids=tx_ids, names=FEATURE_NAMES, raw=raw, coverage=cov)
 
 
 @dataclass
@@ -208,9 +198,9 @@ class CandidateTable:
 
 
 def candidate_table(chain: PublicChain) -> CandidateTable:
-    """Per ring member, its creating tx's [zero_hop | one_hop] row with
-    delta_time (spend minus creation) and age_rank (candidate index, 0 =
-    oldest) between the blocks; a dangling member has zeros but age_rank."""
+    """Per ring member, its creating tx's zero_hop row, then delta_time
+    (spend minus creation) and age_rank (candidate index, 0 = oldest); a
+    dangling member has zeros but age_rank."""
     rings = [(tx, ring_i, ring)
              for tx in map(chain.transactions.get, chain.transfer_ids())
              for ring_i, ring in enumerate(tx.rings)]
@@ -224,7 +214,8 @@ def candidate_table(chain: PublicChain) -> CandidateTable:
     creators = np.unique(made_by[made_by >= 0])
     # creator rows with room for delta_time and age_rank, then a zero row
     profiles = np.zeros((creators.size + 1, len(CANDIDATE_NAMES)), dtype=np.float64)
-    profiles[:-1, np.r_[0:7, 9:len(CANDIDATE_NAMES)]] = _tx_rows(chain, creators.tolist())
+    for row, tx in zip(profiles, map(chain.transactions.get, creators.tolist())):
+        row[:7] = zero_hop(tx)
     raw = profiles[np.where(made_by >= 0, np.searchsorted(creators, made_by), -1)]
     spent_at = np.repeat([tx.timestamp for tx, _, _ in rings], sizes)
     raw[:, 7] = np.where(made_by >= 0, spent_at - raw[:, 0], 0.0)

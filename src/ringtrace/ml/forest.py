@@ -160,8 +160,9 @@ def _grow(tree: _Tree, X, Y, w, idx, depth, hp, rng, w_all):
     if gain <= _EPS:
         return node
     tree.importance[f] += (w_node / w_all) * gain
-    left_idx = idx[left_order]
-    right_idx = idx[np.setdiff1d(np.arange(idx.size), left_order, assume_unique=True)]
+    goes_left = np.zeros(idx.size, dtype=bool)
+    goes_left[left_order] = True
+    left_idx, right_idx = idx[left_order], idx[~goes_left]
     tree.feature[node] = int(f)
     tree.threshold[node] = float(thr)
     tree.left[node] = _grow(tree, X, Y, w, left_idx, depth + 1, hp, rng, w_all)

@@ -15,7 +15,7 @@ import numpy as np
 from ..errors import ConstantTarget, DegenerateLabels, Diverged
 from ..features import CandidateTable, FeatureMatrix
 from ..ledger import dump_csv, dump_json
-from .crossval import ModelSpec, SearchSpec, fit_model, kfold_eval
+from .crossval import ModelSpec, SearchSpec, _derive_seed, fit_model, kfold_eval
 from .forest import feature_importance
 
 FORMAT_VERSION = 1
@@ -57,7 +57,7 @@ def _ranked_importances(model, names) -> list | None:
 
 
 DEFAULT_SPACES = {
-    # near the task defaults (depth 12-14, sqrt or 0.15 of the features):
+    # near the group and value defaults (depth 12, sqrt of the 182 features):
     # deeper or wider forests cost several times a default fit
     "forest": {
         "max_depth": ("int", 8, 14),
@@ -74,6 +74,11 @@ DEFAULT_SPACES = {
         "l2": ("log", 1e-6, 1e-1),
     },
 }
+
+# the spoof forest's: on the 9 candidate columns sqrt, 0.05 and 0.1 sample
+# 1-3 features per node, so it draws thirds of them instead
+SPOOF_FOREST_SPACE = {**DEFAULT_SPACES["forest"],
+                      "max_features": ("choice", [1 / 3, 2 / 3, 1.0])}
 
 
 def sample_params(space: dict, rng: np.random.Generator) -> dict:
@@ -141,8 +146,10 @@ def search_fit_rank(model_spec: ModelSpec, fm: FeatureMatrix, y, search: SearchS
     res = random_search(model_spec, fm.raw, y, search, metric)
     importances = None
     if model_spec.family == "forest":
+        # its own stream: with search.seed, trees 7 and 8 would draw the
+        # streams of stratified_folds and contiguous_shuffle_folds
         final = fit_model(replace(model_spec, params=res["best_params"]),
-                          fm.raw, y, seed=search.seed)
+                          fm.raw, y, seed=_derive_seed(search.seed, 12))
         importances = _ranked_importances(final, fm.names)
     return res["best_params"], res["best_result"], res["trials"], importances
 
@@ -189,8 +196,9 @@ def spoof_task(table: CandidateTable, real_indices: dict[int, list[int]],
         return {"top1": int((top == real[rids]).sum()) / rids.size,
                 "baseline_top1": chance / rids.size}
 
-    res = random_search(model_spec, table.raw, y, search, "top1", groups=ring_ids,
-                        evaluate=evaluate)
+    space = SPOOF_FOREST_SPACE if model_spec.family == "forest" else None
+    res = random_search(model_spec, table.raw, y, search, "top1", space=space,
+                        groups=ring_ids, evaluate=evaluate)
 
     # chance-score control over every ring with seeded random scores
     rng = np.random.default_rng(np.random.SeedSequence(entropy=search.seed,

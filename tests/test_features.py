@@ -327,11 +327,10 @@ def check_candidate_rows(pub: PublicChain, step: int = 7) -> np.ndarray:
         creator = pub.creating_tx(tx.rings[ring_i][cand])
         dangling.append(creator is None)
         if creator is None:
-            want, spent = np.zeros(len(FEATURE_NAMES)), 0
+            want, spent = np.zeros(len(ZERO_HOP_NAMES)), 0
         else:
-            want = np.concatenate([zero_hop(creator), one_hop(creator, pub)
-                                   if creator.rings else np.zeros(len(ONE_HOP_NAMES))])
-            spent = tx.timestamp - creator.timestamp
+            want, spent = zero_hop(creator), tx.timestamp - creator.timestamp
+            assert spent > 0
             assert spent > 0
         assert row[delta] == spent
         assert np.array_equal(np.delete(row, [delta, rank]), want)
@@ -348,6 +347,14 @@ def test_candidate_rows_one_per_member(sim_public):
 def test_candidate_rows_of_dump_window_with_dangling_members(window_public):
     dangling = check_candidate_rows(window_public, step=1)
     assert dangling.any() and not dangling.all()
+
+
+def test_candidate_table_needs_no_one_hop(sim_public, monkeypatch):
+    def no_one_hop(tx, chain):
+        raise AssertionError("candidate rows hold no one-hop columns")
+
+    monkeypatch.setattr(features, "one_hop", no_one_hop)
+    assert not check_candidate_rows(sim_public, step=1).any()
 
 
 @settings(max_examples=8)
@@ -569,15 +576,16 @@ def test_feature_writer_matches_csv_writer(raw, data, first_tx, tx_step, include
             _reference_feature_csvs(fm, include_coverage)
 
 
-def _tricky_rows(real: np.ndarray) -> np.ndarray:
-    """Rows of a real matrix between rows of tricky cells."""
+def _tricky_rows(real: np.ndarray, n_tricky: int = 4000) -> np.ndarray:
+    """Rows of a real matrix between two blocks of n_tricky rows of tricky cells."""
     rng = np.random.default_rng(15)
-    tricky = rng.choice([0.0, -0.0, 1e-05, 1e16, 5e-324, 0.1], size=(4000, real.shape[1]))
+    tricky = rng.choice([0.0, -0.0, 1e-05, 1e16, 5e-324, 0.1],
+                        size=(n_tricky, real.shape[1]))
     return np.vstack([tricky, real, tricky[::-1], real])
 
 
 def test_candidates_writer_across_row_chunks(sim_public):
-    raw = _tricky_rows(candidate_table(sim_public).raw)
+    raw = _tricky_rows(candidate_table(sim_public).raw, n_tricky=24000)
     table = CandidateTable(_ring_keys(raw.shape[0], 11, 10**12, 3),
                            CANDIDATE_NAMES, raw)
     assert raw.shape[0] > 2 * features._CHUNK_CELLS // (3 + raw.shape[1])

@@ -246,6 +246,53 @@ def test_each_task_searches_on_its_own_metric(task, metric):
     assert report.summary[metric]["mean"] == best["value"]
 
 
+def test_spoof_forest_searches_its_own_space():
+    from ringtrace.ml.tasks import DEFAULT_SPACES, SPOOF_FOREST_SPACE
+    search = SearchSpec(budget=3, folds=2, seed=17)
+    table, real = make_candidate_table(40, 4, lambda r: r % 4, signal=3.0, seed=17)
+    spec = ModelSpec("forest", "classify", {"n_trees": 3, "max_features": 1.0},
+                     class_weight="balanced")
+    trials = spoof_task(table, real, spec, search).trials
+    thirds = SPOOF_FOREST_SPACE["max_features"][1]
+    assert all(t["params"]["max_features"] in [1.0, *thirds] for t in trials)
+    assert {k: v for k, v in SPOOF_FOREST_SPACE.items() if k != "max_features"} == \
+        {k: v for k, v in DEFAULT_SPACES["forest"].items() if k != "max_features"}
+    # the group and value forests keep the shared space
+    assert DEFAULT_SPACES["forest"]["max_features"] == ("choice", ["sqrt", 0.05, 0.1])
+    X = np.random.default_rng(17).normal(size=(60, 4))
+    for run, y, task in ((group_task, X[:, 0] > 0, "classify"),
+                         (value_task, X[:, 0] * 2.0, "regress")):
+        report = run(make_feature_matrix(X), y, ModelSpec("forest", task, {"n_trees": 3}),
+                     search)
+        assert all(t["params"]["max_features"] in ["sqrt", 0.05, 0.1]
+                   for t in report.trials[1:])
+
+
+def test_final_forest_draws_streams_of_its_own(monkeypatch):
+    from ringtrace.ml import tasks
+    seeds = []
+
+    def fit_model(spec, X, y, seed):
+        seeds.append(seed)
+        return real_fit(spec, X, y, seed)
+
+    real_fit = tasks.fit_model
+    monkeypatch.setattr(tasks, "fit_model", fit_model)
+    X = np.random.default_rng(18).normal(size=(60, 4))
+    search = SearchSpec(budget=2, folds=2, seed=18)
+    value_task(make_feature_matrix(X), X[:, 0],
+               ModelSpec("forest", "regress", {"n_trees": 12}), search)
+
+    def stream(entropy, key):
+        return tuple(np.random.SeedSequence(entropy, spawn_key=key).generate_state(4))
+
+    # folds (7,), (8,); trials (21, t); spoof chance control (99,)
+    search_streams = {stream(search.seed, key)
+                      for key in ((7,), (8,), (99,), (21, 1))}
+    [final] = seeds
+    assert not {stream(final, (t,)) for t in range(12)} & search_streams
+
+
 # report files -------------------------------------------------------------------
 
 
