@@ -86,13 +86,12 @@ def cmd_simulate(args) -> int:
     path = _require_file(args.economy, "economy file")
     spec, files = econ.load_economy(path)
     params = spec.sim
-    if args.block_interval is not None:
-        if args.block_interval < 1:
-            raise InvalidSimParams("--block-interval: block_interval must be >= 1, "
-                                   f"got {args.block_interval}")
-        params.block_interval = args.block_interval
-    if args.processing_delay is not None:
-        params.processing_delay = args.processing_delay
+    for name, least in (("block_interval", 1), ("processing_delay", 0)):
+        if (value := getattr(args, name)) is not None:
+            if value < least:
+                raise InvalidSimParams(f"--{name.replace('_', '-')}: {name} must be "
+                                       f">= {least}, got {value}")
+            setattr(params, name, value)
     try:
         chain, gt = econ.run_simulation(files, spec)
     except InvalidSimParams as err:
@@ -141,7 +140,7 @@ def cmd_featurize(args) -> int:
         raise ModeRequiresSecrets("true edges need --ground-truth chain.json")
 
     out = Path(args.out)
-    fm = feats.featurize_chain(pub, include_coinbase=args.include_coinbase)
+    fm = feats.featurize_chain(pub)
     feats.write_feature_matrix(fm, out)
     feats.write_candidates(feats.candidate_table(pub), out / "candidates.csv")
     try:
@@ -161,7 +160,6 @@ def cmd_featurize(args) -> int:
     _write_manifest(out, "featurize", {
         "chain": str(args.chain),
         "ground_truth": str(args.ground_truth) if args.ground_truth else None,
-        "include_coinbase": args.include_coinbase,
         "edges": edge_modes,
         "correlation_binning": args.correlation_binning,
         "bins": args.bins,
@@ -297,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chain", required=True, help="public_chain.json")
     p.add_argument("--out", required=True)
     p.add_argument("--ground-truth", default=None, help="chain.json for true edges")
-    p.add_argument("--include-coinbase", action="store_true")
     p.add_argument("--edges", default="all", help="comma list of: all, true")
     p.add_argument("--correlation-binning", default="by_rank",
                    choices=["by_rank", "by_hour_of_day"])

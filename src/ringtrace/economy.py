@@ -258,6 +258,9 @@ def run_simulation(files: EconomyFile, spec: EconomySpec) -> tuple[Chain, Ground
     if params.block_interval < 1:
         # block times would not advance, so no request would come due
         raise InvalidSimParams(f"block_interval must be >= 1, got {params.block_interval}")
+    if params.processing_delay < 0:
+        # transfers would come due before their request and be stamped after their block
+        raise InvalidSimParams(f"processing_delay must be >= 0, got {params.processing_delay}")
     if spec.ring_size < 1:
         raise InvalidSimParams(f"ring_size must be >= 1, got {spec.ring_size}")
     profiles = {a.agent_id: a for a in spec.agents}

@@ -3,8 +3,9 @@
 Everything here is a pure function of the adversary-visible projection: 7
 intrinsic features per transaction, plus 175 aggregates over the transactions
 that created its ring members (5 within-ring statistics crossed with 5
-across-ring statistics for each base feature).  Feature rows never depend on
-storage order.
+across-ring statistics for each base feature).  One gather of the ring
+members' creating transactions feeds the aggregates, the row coverage and the
+spoof candidates.  Feature rows never depend on storage order.
 """
 
 import csv
@@ -19,7 +20,6 @@ import numpy as np
 from .errors import EmptyChain, NoRings, NoTwoRingTxs, SchemaError
 from .ledger import (
     FORMAT_VERSION,
-    TRANSFER,
     PublicChain,
     PublicTx,
     dump_csv,
@@ -70,11 +70,43 @@ def zero_hop(tx: PublicTx) -> np.ndarray:
     )
 
 
-def _member_zero_hop(chain: PublicChain, output_id: int) -> np.ndarray:
-    creator = chain.creating_tx(output_id)
-    if creator is None:  # dangling reference in a partial dump
-        return np.zeros(7, dtype=np.float64)
-    return zero_hop(creator)
+def _member_rows(chain: PublicChain, members: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Per ring member (an output id), the zero_hop row of its creating
+    transaction, and whether that transaction is known; a dangling member
+    of a partial dump has a zero row."""
+    made_by = np.array([-1 if (t := chain.outputs[oid].created_by_tx) is None else t
+                        for oid in members], dtype=np.int64)
+    known = made_by >= 0
+    creators = np.unique(made_by[known])
+    # one row per distinct creator, then the zero row of the dangling members
+    profiles = np.array([*map(zero_hop, map(chain.transactions.get, creators.tolist())),
+                         np.zeros(len(ZERO_HOP_NAMES))])
+    return profiles[np.where(known, np.searchsorted(creators, made_by), -1)], known
+
+
+def _one_hop_rows(chain: PublicChain, txs: list[PublicTx]) -> tuple[np.ndarray, np.ndarray]:
+    """one_hop's row and the coverage (known members over members) of each
+    of `txs`, which all have rings.  Rings of one size reduce together, then
+    transactions of one ring count: numpy sums axis 1 of (n, k, ...) in its
+    order along axis 0 of (k, ...), so each row is one_hop's for it alone."""
+    rings = [ring for tx in txs for ring in tx.rings]
+    reduced, known = _member_rows(chain, [oid for ring in rings for oid in ring])
+    for sizes, stats in (([len(r) for r in rings], RING_STATS),
+                         ([len(tx.rings) for tx in txs], CROSS_STATS)):
+        sizes = np.array(sizes, dtype=np.int64)
+        starts = np.cumsum(sizes) - sizes
+        out = np.empty((len(sizes), len(stats), *reduced.shape[1:]), dtype=np.float64)
+        for size in np.unique(sizes):
+            which = np.flatnonzero(sizes == size)
+            group = reduced[starts[which, None] + np.arange(size)]
+            for s, name in enumerate(stats):
+                out[which, s] = getattr(np, name)(group, axis=1)
+        reduced = out
+    members = np.array([sum(map(len, tx.rings)) for tx in txs], dtype=np.int64)
+    known_members = np.add.reduceat(known, np.cumsum(members) - members, dtype=np.int64)
+    # (tx, cross stat, ring stat, feature) -> ONE_HOP_NAMES order
+    return (reduced.transpose(0, 3, 2, 1).reshape(len(txs), len(ONE_HOP_NAMES)),
+            known_members / members)
 
 
 def one_hop(tx: PublicTx, chain: PublicChain) -> np.ndarray:
@@ -87,31 +119,7 @@ def one_hop(tx: PublicTx, chain: PublicChain) -> np.ndarray:
     """
     if not tx.rings:
         raise NoRings(f"tx {tx.tx_id} has no ring inputs")
-    per_ring = np.empty((len(tx.rings), 5, 7), dtype=np.float64)
-    for r, members in enumerate(tx.rings):
-        vecs = np.stack([_member_zero_hop(chain, oid) for oid in members])
-        per_ring[r, 0] = vecs.min(axis=0)
-        per_ring[r, 1] = vecs.max(axis=0)
-        per_ring[r, 2] = vecs.mean(axis=0)
-        per_ring[r, 3] = vecs.std(axis=0)
-        per_ring[r, 4] = vecs.sum(axis=0)
-    cross = np.stack([
-        per_ring.min(axis=0),
-        per_ring.max(axis=0),
-        per_ring.mean(axis=0),
-        np.median(per_ring, axis=0),
-        per_ring.sum(axis=0),
-    ])  # (5 cross, 5 ring, 7 feature)
-    return cross.transpose(2, 1, 0).reshape(-1)
-
-
-def ring_coverage(tx: PublicTx, chain: PublicChain) -> float:
-    """Fraction of ring members whose creating transaction is known."""
-    members = [oid for ring in tx.rings for oid in ring]
-    if not members:
-        return 1.0
-    known = sum(1 for oid in members if chain.creating_tx(oid) is not None)
-    return known / len(members)
+    return _one_hop_rows(chain, [tx])[0][0]
 
 
 @dataclass
@@ -155,25 +163,20 @@ def _scale(centered: np.ndarray, stds: np.ndarray) -> np.ndarray:
     return centered
 
 
-def featurize_chain(chain: PublicChain, include_coinbase: bool = False) -> FeatureMatrix:
-    """Full 182-column matrix over transfer rows (coinbase rows optional).
-
-    Rows are ordered by tx_id.  Coinbase rows, when requested, zero-fill the
-    one-hop block.  Rows are pure per-transaction functions.
-    """
-    tx_ids = sorted(
-        t for t, tx in chain.transactions.items()
-        if tx.kind == TRANSFER or include_coinbase
-    )
+def featurize_chain(chain: PublicChain) -> FeatureMatrix:
+    """Full 182-column matrix and ring coverage of the transfer rows, ordered
+    by tx_id; a transfer without rings zero-fills its one-hop block and has
+    coverage 1.  Rows are pure per-transaction functions."""
+    tx_ids = chain.transfer_ids()
     if not tx_ids:
         raise EmptyChain("no transactions to featurize")
 
-    raw = np.zeros((len(tx_ids), N_FEATURES), dtype=np.float64)
-    for row, tx in zip(raw, map(chain.transactions.get, tx_ids)):
-        row[:7] = zero_hop(tx)
-        if tx.rings:
-            row[7:] = one_hop(tx, chain)
-    cov = np.array([ring_coverage(chain.transactions[t], chain) for t in tx_ids])
+    txs = list(map(chain.transactions.get, tx_ids))
+    raw = np.zeros((len(txs), N_FEATURES), dtype=np.float64)
+    raw[:, :7] = [zero_hop(tx) for tx in txs]
+    cov = np.ones(len(txs))
+    ringed = np.flatnonzero([bool(tx.rings) for tx in txs])
+    raw[ringed, 7:], cov[ringed] = _one_hop_rows(chain, [txs[i] for i in ringed])
     return FeatureMatrix(tx_ids=tx_ids, names=FEATURE_NAMES, raw=raw, coverage=cov)
 
 
@@ -209,17 +212,9 @@ def candidate_table(chain: PublicChain) -> CandidateTable:
     sizes = [len(ring) for _, _, ring in rings]
     keys = np.repeat([(tx.tx_id, ring_i, 0) for tx, ring_i, _ in rings], sizes, axis=0)
     keys[:, 2] = np.arange(len(keys)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    made_by = np.array([-1 if (t := chain.outputs[oid].created_by_tx) is None else t
-                        for _, _, ring in rings for oid in ring], dtype=np.int64)
-    creators = np.unique(made_by[made_by >= 0])
-    # creator rows with room for delta_time and age_rank, then a zero row
-    profiles = np.zeros((creators.size + 1, len(CANDIDATE_NAMES)), dtype=np.float64)
-    for row, tx in zip(profiles, map(chain.transactions.get, creators.tolist())):
-        row[:7] = zero_hop(tx)
-    raw = profiles[np.where(made_by >= 0, np.searchsorted(creators, made_by), -1)]
+    rows, known = _member_rows(chain, [oid for _, _, ring in rings for oid in ring])
     spent_at = np.repeat([tx.timestamp for tx, _, _ in rings], sizes)
-    raw[:, 7] = np.where(made_by >= 0, spent_at - raw[:, 0], 0.0)
-    raw[:, 8] = keys[:, 2]
+    raw = np.column_stack([rows, np.where(known, spent_at - rows[:, 0], 0.0), keys[:, 2]])
     return CandidateTable(keys=keys, names=CANDIDATE_NAMES, raw=raw)
 
 

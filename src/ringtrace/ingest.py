@@ -257,8 +257,7 @@ def external_pipeline(parsed: ParsedDump, labels: dict[str, str], model_spec: Mo
     pub, hashes = dump_to_public_chain(parsed)
     fm = featurize_chain(pub)
     joined = join_labels(parsed, labels)
-    label_of = dict(zip(hashes, joined.y.tolist()))
-    y = np.array([label_of[hashes[tx_id]] for tx_id in fm.tx_ids], dtype=np.int64)
+    y = np.array([hashes[t] in labels for t in fm.tx_ids], dtype=np.int64)
     if np.unique(y).size < 2:
         raise DegenerateLabels("need both labeled and unlabeled transactions")
 
@@ -266,6 +265,6 @@ def external_pipeline(parsed: ParsedDump, labels: dict[str, str], model_spec: Mo
         "positive_rate": joined.positive_rate,
         "unmatched_labels": len(joined.unmatched),
         "dangling_references": len(parsed.dangling),
-        "mean_coverage": float(fm.coverage.mean()) if fm.coverage is not None else 1.0,
+        "mean_coverage": float(fm.coverage.mean()),
     })
     return report, fm

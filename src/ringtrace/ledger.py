@@ -496,10 +496,13 @@ def validate_chain(chain: Chain) -> ValidationReport:
         first = chain.transactions.get(block.tx_ids[0])
         if first is None or first.kind != COINBASE:
             report.add("missing_coinbase", block.height, "first tx is not a coinbase")
-        for tx_id in block.tx_ids[1:]:
+        for pos, tx_id in enumerate(block.tx_ids):
             tx = chain.transactions.get(tx_id)
-            if tx is not None and tx.kind == COINBASE:
+            if tx is not None and pos and tx.kind == COINBASE:
                 report.add("extra_coinbase", block.height, f"tx {tx_id} is a second coinbase")
+            if tx is not None and tx.timestamp > block.timestamp:
+                report.add("late_timestamp", tx_id, f"timestamp {tx.timestamp} is after "
+                           f"block {block.height}'s {block.timestamp}")
 
     spenders: dict[int, int] = {}
     for tx_id in sorted(chain.transactions):

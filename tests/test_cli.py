@@ -316,6 +316,22 @@ def test_simulate_block_interval_below_1_exit_2(workdir, tmp_path, capsys, flag,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flag, stored", [("-1", 0), (None, -1)])
+def test_simulate_negative_processing_delay_exit_2(workdir, tmp_path, capsys, flag, stored):
+    # a negative delay would let transfers come due before their request time
+    economy = json.loads((workdir / "econ" / "economy.json").read_text())
+    economy["spec"]["sim"]["processing_delay"] = stored
+    bad = tmp_path / "economy.json"
+    bad.write_text(json.dumps(economy))
+    argv = ["simulate", "--economy", str(bad), "--out", str(tmp_path / "out")]
+    assert main(argv + ([] if flag is None else ["--processing-delay", flag])) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InvalidSimParams" and "processing_delay" in err["message"]
+    where = f"{bad}: " if flag is None else "--processing-delay: "
+    assert err["message"].startswith(where)
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("text, where, column", [
     ("", "line 1", "tx_hash"),
     ("tx_hash,label\nabc\n", "line 2", "label"),

@@ -194,6 +194,81 @@ def test_one_hop_matches_naive_oracle_exactly(sim_public):
     assert checked >= 50
 
 
+def per_ring_one_hop(tx, chain):
+    """one_hop as first written: a zero_hop per member (zeros for a dangling
+    one), each ring reduced on its own, then the rings."""
+    per_ring = np.empty((len(tx.rings), 5, 7), dtype=np.float64)
+    for r, members in enumerate(tx.rings):
+        vecs = np.stack([np.zeros(7) if (c := chain.creating_tx(oid)) is None
+                         else zero_hop(c) for oid in members])
+        per_ring[r, 0] = vecs.min(axis=0)
+        per_ring[r, 1] = vecs.max(axis=0)
+        per_ring[r, 2] = vecs.mean(axis=0)
+        per_ring[r, 3] = vecs.std(axis=0)
+        per_ring[r, 4] = vecs.sum(axis=0)
+    cross = np.stack([
+        per_ring.min(axis=0),
+        per_ring.max(axis=0),
+        per_ring.mean(axis=0),
+        np.median(per_ring, axis=0),
+        per_ring.sum(axis=0),
+    ])  # (5 cross, 5 ring, 7 feature)
+    return cross.transpose(2, 1, 0).reshape(-1)
+
+
+@st.composite
+def ring_chains(draw):
+    """Coinbases, dangling outputs (no creating transaction) and transfers of
+    1-4 rings of 1-12 earlier outputs, each transfer making one output, then
+    one transfer without rings."""
+    txs, outs = {}, {}
+
+    def add(rings, kind, created=True):
+        tx_id, oid = len(txs), len(outs)
+        t = draw(st.integers(0, 2**34))
+        if created:
+            txs[tx_id] = PublicTx(tx_id=tx_id, timestamp=t, block_height=tx_id, rings=rings,
+                                  outputs=[oid], fee=0, kind=kind)
+        outs[oid] = PublicOutput(output_id=oid, created_by_tx=tx_id if created else None,
+                                 block_height=0, timestamp=t, is_coinbase=kind == "coinbase")
+
+    for _ in range(draw(st.integers(1, 4))):
+        add([], "coinbase")
+    for _ in range(draw(st.integers(0, 3))):
+        add([], "coinbase", created=False)
+    for _ in range(draw(st.integers(1, 12))):
+        member = st.sampled_from(sorted(outs))
+        add(draw(st.lists(st.lists(member, min_size=1, max_size=12), min_size=1,
+                          max_size=4)), "transfer")
+    add([], "transfer")
+    return PublicChain(blocks=[], transactions=txs, outputs=outs)
+
+
+@settings(max_examples=120)
+@given(ring_chains())
+def test_grouped_one_hop_matches_the_per_ring_reference_bit_for_bit(chain):
+    fm = featurize_chain(chain)
+    assert fm.tx_ids == chain.transfer_ids()
+    for row, coverage, tx in zip(fm.raw, fm.coverage, map(chain.transactions.get, fm.tx_ids)):
+        one = per_ring_one_hop(tx, chain) if tx.rings else np.zeros(len(ONE_HOP_NAMES))
+        want = np.concatenate([zero_hop(tx), one])
+        assert np.array_equal(row.view(np.uint64), want.view(np.uint64))
+        members = [oid for ring in tx.rings for oid in ring]
+        known = sum(chain.creating_tx(oid) is not None for oid in members)
+        assert coverage == (known / len(members) if members else 1.0)
+
+
+def test_featurize_chain_needs_no_per_transaction_one_hop(sim_public, monkeypatch):
+    want = featurize_chain(sim_public)
+
+    def no_one_hop(tx, chain):
+        raise AssertionError("featurize_chain gathers every ring member at once")
+
+    monkeypatch.setattr(features, "one_hop", no_one_hop)
+    got = featurize_chain(sim_public)
+    assert np.array_equal(got.raw, want.raw) and np.array_equal(got.coverage, want.coverage)
+
+
 def test_one_hop_rejects_coinbase(sim_public):
     cb = next(tx for tx in sim_public.transactions.values() if tx.kind == "coinbase")
     with pytest.raises(NoRings):

@@ -351,6 +351,13 @@ def test_unsorted_ring_detected(funded_chain):
     assert any(v.code == "ring_order" for v in report.violations)
 
 
+def test_timestamp_after_its_block_detected(funded_chain):
+    tx = send(funded_chain, 0, 1, 25, Rng(22))
+    tx.timestamp = funded_chain.blocks[tx.block_height].timestamp + 1
+    report = validate_chain(funded_chain)
+    assert [(v.code, v.subject) for v in report.violations] == [("late_timestamp", tx.tx_id)]
+
+
 # serialization --------------------------------------------------------------
 
 
