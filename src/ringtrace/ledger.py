@@ -10,8 +10,12 @@ Every JSON file that is read back (`chain.json`, `public_chain.json`,
 :func:`save_record` and read by :func:`load_record`: one generated JSON-text
 writer per record class, and one generated reader per class that checks
 each field's JSON type, both driven by the dataclass annotations.
-Simulation, the public view and the chain-file savers and loaders run with
-the cyclic garbage collector paused (:func:`collector_paused`).  That is
+:func:`load_record` reads a file a block of text at a time and turns each
+item of a record list into its record as soon as it is parsed, with one int
+object per distinct value, so loading never holds the whole text or every
+item's dict.  Simulation, the public view and the chain-file savers and
+loaders run with the cyclic garbage collector paused
+(:func:`collector_paused`).  That is
 safe because the records hold no reference cycles: a block, transaction or
 output refers to others by id, never by object, so reference counting frees
 them all, and the paused collection passes would only rescan a million live
@@ -24,6 +28,8 @@ import csv
 import functools
 import gc
 import json
+import json.scanner
+import re
 from dataclasses import dataclass, field, fields, is_dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -410,14 +416,14 @@ def apply_block(chain: Chain, pending_txs: list[Transaction], miner: int,
 
 # Public (adversary) projection -------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class PublicBlock:
     height: int
     timestamp: int
     tx_ids: list[int]
 
 
-@dataclass
+@dataclass(slots=True)
 class PublicOutput:
     output_id: int
     created_by_tx: int | None
@@ -426,7 +432,7 @@ class PublicOutput:
     is_coinbase: bool
 
 
-@dataclass
+@dataclass(slots=True)
 class PublicTx:
     tx_id: int
     timestamp: int
@@ -631,15 +637,149 @@ def load_record(cls, path: Path):
     wrong JSON type raises SchemaError naming the file, the path to the
     field and the field; unknown keys are ignored.
     """
-    payload = load_json(path)
+    path = Path(path)
+    try:
+        with path.open() as fh:
+            payload, streamed = _streamed_payload(cls, fh)
+    except (_NotStreamed, _BadField):
+        # the whole-text parse reports the error, or reads what the
+        # streaming scanner does not take
+        payload, streamed = load_json(path), {}
     version = payload.get("format_version") if isinstance(payload, dict) else None
     if version != FORMAT_VERSION:
         raise SchemaError(f"{path}: unsupported format_version {version!r}",
                           field="format_version")
     try:
-        return _json_reader(cls)(payload)
+        rec = _json_reader(cls)(payload | dict.fromkeys(streamed, []))
     except _BadField as err:
         raise SchemaError(f"{path}: {err}", field=err.field) from None
+    for name, items in streamed.items():
+        setattr(rec, name, items)
+    return rec
+
+
+class _NotStreamed(Exception):
+    """JSON text that _streamed_payload leaves to the whole-text parser."""
+
+
+class _Ints(dict):
+    """JSON int text -> one int object per value, so a file's repeated ids
+    and heights share one object each: an s05 public chain has 612k int
+    values but 82k distinct ones."""
+
+    def __missing__(self, text: str) -> int:
+        value = self[text] = int(text)
+        return value
+
+
+_SPACE = re.compile(r"[ \t\n\r]*")
+# what may follow a complete JSON value
+_VALUE_ENDS = frozenset(",:]} \t\n\r")
+
+
+class _Stream:
+    """JSON text read from a file one block at a time."""
+
+    BLOCK = 1 << 20
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.scan = json.scanner.make_scanner(
+            json.JSONDecoder(parse_int=_Ints().__getitem__))
+        self.text, self.pos, self.done = "", 0, False
+
+    def _read(self) -> None:
+        block = self.fh.read(self.BLOCK)
+        self.done = not block
+        self.text, self.pos = self.text[self.pos:] + block, 0
+
+    def peek(self) -> str:
+        """The next character that is not space, or "" at the end."""
+        while True:
+            c = self.text[self.pos:self.pos + 1]
+            if c and c not in " \t\n\r":
+                return c
+            if c:
+                self.pos = _SPACE.match(self.text, self.pos).end()
+            elif self.done:
+                return ""
+            else:
+                self._read()
+
+    def opens(self, start: str, stop: str) -> bool:
+        """Take `start`, and `stop` too when it follows at once (empty)."""
+        if self.peek() != start:
+            raise _NotStreamed
+        self.pos += 1
+        if self.peek() != stop:
+            return False
+        self.pos += 1
+        return True
+
+    def closes(self, stop: str) -> bool:
+        """Take a "," (False) or `stop` (True)."""
+        c = self.peek()
+        if c != "," and c != stop:
+            raise _NotStreamed
+        self.pos += 1
+        return c == stop
+
+    def value(self):
+        """The next JSON value.  A block may end inside it, or cut a number
+        short, so it is taken only when the text after it shows its end."""
+        self.peek()
+        while True:
+            try:
+                value, end = self.scan(self.text, self.pos)
+                if self.done or self.text[end:end + 1] in _VALUE_ENDS:
+                    self.pos = end
+                    return value
+            except (StopIteration, json.JSONDecodeError):
+                if self.done:
+                    raise _NotStreamed from None
+            self._read()
+
+    def records(self, read) -> list:
+        """The records `read` makes of a JSON array of objects."""
+        items = []
+        end_of_array = self.opens("[", "]")
+        while not end_of_array:
+            item = self.value()
+            if type(item) is not dict:
+                raise _NotStreamed
+            items.append(read(item))
+            end_of_array = self.closes("]")
+        return items
+
+
+def _streamed_payload(cls, fh) -> tuple[dict, dict]:
+    """The JSON object in `fh` as a dict without its list-of-records fields,
+    and those fields' records, read one item at a time.
+
+    A chain file's item dicts are most of its parsed size, and its text is
+    the rest; reading the text a block at a time, and each item into its
+    record as soon as it is parsed, keeps neither whole in memory.  Any
+    text but a JSON object whose record-list fields are arrays of objects,
+    and any item its reader rejects, raises.
+    """
+    readers = {f.name: _json_reader(_item(f.type)) for f in fields(cls)
+               if is_dataclass(_item(f.type))}
+    s = _Stream(fh)
+    payload, streamed = {}, {}
+    done = s.opens("{", "}")
+    while not done:
+        key = s.value()
+        if type(key) is not str or s.peek() != ":":
+            raise _NotStreamed
+        s.pos += 1
+        if key in readers:
+            streamed[key] = s.records(readers[key])
+        else:
+            payload[key] = s.value()
+        done = s.closes("}")
+    if s.peek():
+        raise _NotStreamed
+    return payload, streamed
 
 
 @functools.cache

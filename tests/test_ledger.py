@@ -3,12 +3,12 @@
 import copy
 import json
 import math
-from dataclasses import asdict, fields, is_dataclass
+from dataclasses import asdict, fields, is_dataclass, replace
 from types import UnionType
 from typing import get_args, get_origin
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ringtrace import economy, features, ledger
@@ -425,3 +425,38 @@ def test_codec_writes_json_dumps_text_and_reads_it_back(cls, data):
     text = ledger._json_writer(cls)(rec)
     assert text == json.dumps(asdict(rec), sort_keys=True, separators=(",", ":"))
     assert ledger._json_reader(cls)(json.loads(text)) == rec
+
+
+
+FILE_RECORDS = [cls for cls in CODEC_RECORDS if "format_version" in ledger._field_names(cls)]
+
+
+@pytest.mark.parametrize("cls", FILE_RECORDS, ids=lambda cls: cls.__name__)
+@settings(max_examples=25, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), block=st.integers(1, 40), indent=st.sampled_from([None, 2]))
+def test_load_record_reads_any_block_size_and_layout(cls, data, block, indent, tmp_path,
+                                                     monkeypatch):
+    # blocks of a few characters cut numbers, strings and items short
+    rec = replace(data.draw(_values(cls)), format_version=ledger.FORMAT_VERSION)
+    path = tmp_path / "rec.json"
+    path.write_text(json.dumps(asdict(rec), indent=indent))
+    monkeypatch.setattr(ledger._Stream, "BLOCK", block)
+    # no fallback to the whole-text parse
+    monkeypatch.delattr(ledger, "load_json", raising=False)
+    assert ledger.load_record(cls, path) == rec
+
+
+def test_loaded_chain_shares_one_int_per_value(tmp_path):
+    pub = ledger.PublicChain(
+        blocks=[ledger.PublicBlock(height=300, timestamp=9000, tx_ids=[400])],
+        transactions={400: ledger.PublicTx(tx_id=400, timestamp=9000, block_height=300,
+                                           rings=[], outputs=[500], fee=0, kind="coinbase")},
+        outputs={500: ledger.PublicOutput(output_id=500, created_by_tx=400, block_height=300,
+                                          timestamp=9000, is_coinbase=True)})
+    save_public_chain(pub, tmp_path / "pub.json")
+    back = load_public_chain(tmp_path / "pub.json")
+    block, tx, out = back.blocks[0], back.transactions[400], back.outputs[500]
+    assert block.tx_ids[0] is tx.tx_id is out.created_by_tx
+    assert block.height is tx.block_height is out.block_height
+    assert block.timestamp is tx.timestamp is out.timestamp
+    assert tx.outputs[0] is out.output_id
