@@ -3,7 +3,8 @@
 The package splits into: a ground-truth ledger with decoy rings (`ledger`),
 stochastic agent economies driving it (`economy`), the 182-column public
 featurization (`features`), native models and attack tasks (`ml`), external
-dump ingestion (`ingest`), and the command-line front end (`cli`).
+dump ingestion (`ingest`), every file format (`records`), and the
+command-line front end (`cli`).
 """
 
 from .economy import (

@@ -20,9 +20,9 @@ from . import ingest as ing
 from . import ledger
 from .errors import DegenerateLabels, InvalidSimParams, ModeRequiresSecrets, RingtraceError
 from .ml import ModelSpec, SearchSpec, group_task, save_report, spoof_task, value_task
+from .records import FORMAT_VERSION, dump_json, load_csv
 from .rng import Rng
 
-FORMAT_VERSION = 1
 
 TASK_DEFAULTS = {
     ("spoof", "forest"): {"n_trees": 24, "max_depth": 14, "max_features": 1.0,
@@ -46,8 +46,8 @@ class CliError(RingtraceError):
 
 
 def _write_manifest(out_dir: Path, command: str, parameters: dict) -> None:
-    ledger.dump_json({"format_version": FORMAT_VERSION, "command": command,
-                      "parameters": parameters}, out_dir / "manifest.json")
+    dump_json({"format_version": FORMAT_VERSION, "command": command,
+               "parameters": parameters}, out_dir / "manifest.json")
 
 
 def _require_file(path: str | None, what: str) -> Path:
@@ -170,7 +170,7 @@ def cmd_featurize(args) -> int:
 
 
 def _read_label_column(path: Path, column: str) -> dict[int, int]:
-    ids, values, _ = feats.load_csv(path, ("tx_id",), (column,), dtype=np.int64)
+    ids, values, _ = load_csv(path, ("tx_id",), (column,), dtype=np.int64)
     return dict(zip(ids[:, 0].tolist(), values[:, 0].tolist()))
 
 
@@ -184,8 +184,8 @@ def _labels_for(path: Path, column: str, tx_ids: list[int]) -> list[int]:
 
 
 def _read_real_indices(path: Path) -> dict[int, list[int]]:
-    rows, _, _ = feats.load_csv(path, ("tx_id", "ring_index_within_tx", "real_index"),
-                                (), dtype=np.int64)
+    rows, _, _ = load_csv(path, ("tx_id", "ring_index_within_tx", "real_index"),
+                          (), dtype=np.int64)
     acc: dict[int, dict[int, int]] = {}
     for tx, ring, real in rows.tolist():
         acc.setdefault(tx, {})[ring] = real

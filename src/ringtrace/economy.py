@@ -21,17 +21,14 @@ from .errors import (
     UnknownScenario,
 )
 from .ledger import (
-    FORMAT_VERSION,
     Chain,
     DecoyPolicy,
     PublicChain,
     apply_block,
     build_transaction,
     collector_paused,
-    dump_csv,
-    load_record,
-    save_record,
 )
+from .records import FORMAT_VERSION, dump_csv, load_record, save_record
 from .rng import Rng
 
 SCENARIOS = ("s03", "s04", "s05", "s06", "s07")

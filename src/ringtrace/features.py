@@ -8,24 +8,15 @@ members' creating transactions feeds the aggregates, the row coverage and the
 spoof candidates.  Feature rows never depend on storage order.
 """
 
-import csv
 import functools
-import math
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import EmptyChain, NoRings, NoTwoRingTxs, SchemaError
-from .ledger import (
-    FORMAT_VERSION,
-    PublicChain,
-    PublicTx,
-    dump_csv,
-    load_record,
-    save_record,
-)
+from .ledger import PublicChain, PublicTx
+from .records import FORMAT_VERSION, _write_table, dump_csv, load_csv, load_record, save_record
 
 ZERO_HOP_NAMES = (
     "epoch_time",
@@ -315,74 +306,6 @@ def write_feature_matrix(fm: FeatureMatrix, out_dir: Path,
     return paths
 
 
-def load_csv(path: Path, keys: tuple[str, ...], names: tuple[str, ...] | None = None,
-             dtype=np.float64) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
-    """Parse a CSV input file in one np.loadtxt pass, checked against its header.
-
-    `keys` must be the leading columns, in order; `names` picks the value
-    columns by header name (default: every column after the keys), so
-    trailing extras such as coverage are skipped.  Every cell read parses as
-    `dtype` (object keeps the text); blank lines are skipped.  A wrong
-    header or an unreadable cell raises SchemaError naming the file, the line
-    and the column, and so does a non-finite float (nan, inf, -inf), which
-    would otherwise wipe its column in normalization.  Returns the key
-    columns, the C-contiguous value matrix and the value column names.
-    """
-    path = Path(path)
-    with path.open() as fh:
-        header = next(csv.reader(fh), [])
-        for i, key in enumerate(keys):
-            if header[i:i + 1] != [key]:
-                raise SchemaError(f"{path}: line 1: column {i + 1} must be {key!r}",
-                                  field=key)
-        if names is None:
-            names = tuple(header[len(keys):])
-        missing = [n for n in names if n not in header]
-        if missing:
-            raise SchemaError(f"{path}: line 1: missing column", field=missing[0])
-        cols = list(range(len(keys))) + [header.index(n) for n in names]
-        try:
-            with warnings.catch_warnings():
-                # a header-only file is the caller's to report
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                data = np.loadtxt(fh, delimiter=",", usecols=cols, ndmin=2,
-                                  dtype=dtype, comments=None, quotechar='"')
-        except ValueError as err:
-            # np.loadtxt numbers rows without blank lines; find the file line
-            raise (_bad_cell(path, header, cols, dtype)
-                   or SchemaError(f"{path}: {err}")) from None
-    if data.dtype.kind == "f" and not np.isfinite(data).all():
-        raise _bad_cell(path, header, cols, dtype)
-    return data[:, :len(keys)], np.ascontiguousarray(data[:, len(keys):]), names
-
-
-def _finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(text)
-    return value
-
-
-def _bad_cell(path: Path, header: list[str], cols: list[int], dtype) -> SchemaError | None:
-    """The error for the first cell in `cols` that does not parse as `dtype`
-    (a finite value, for floats)."""
-    parse = {"f": _finite, "i": int}.get(np.dtype(dtype).kind, str)
-    with path.open() as fh:
-        rows = csv.reader(fh)
-        next(rows)
-        for row in filter(None, rows):  # blank lines hold no cells
-            for c in cols:
-                try:
-                    parse(row[c])
-                except (IndexError, ValueError):
-                    finite = "a finite " if parse is _finite else ""
-                    problem = (f"{row[c]!r} is not {finite}{np.dtype(dtype).name}"
-                               if c < len(row) else "no value")
-                    return SchemaError(f"{path}: line {rows.line_num}: {problem}",
-                                       field=header[c])
-    return None
-
-
 def read_feature_matrix(out_dir: Path) -> FeatureMatrix:
     """features_raw.csv, with the column names of norm_stats.json."""
     out_dir = Path(out_dir)
@@ -396,34 +319,6 @@ def read_feature_matrix(out_dir: Path) -> FeatureMatrix:
 def write_candidates(table: CandidateTable, path: Path) -> None:
     _write_table(Path(path), ["tx_id", "ring_index", "candidate_index", *table.names],
                  [*table.keys.T, *table.raw.T])
-
-
-_CHUNK_CELLS = 2**18  # cells formatted per write: bounds the text held at once
-
-
-def _write_table(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    """A CSV of int64 and float64 columns, as csv.writer writes the header
-    and Python ints and floats: each cell its value's repr, comma-separated,
-    CRLF-ended.
-
-    Rows go out in chunks of about _CHUNK_CELLS cells, so the text held at
-    once does not grow with the file.  Within a chunk each distinct value of
-    a column is formatted once; values are told apart by their bits, since
-    0.0 and -0.0 are equal but print differently.
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    step = max(1, _CHUNK_CELLS // len(columns))
-    with path.open("w", newline="") as fh:
-        csv.writer(fh).writerow(header)
-        for start in range(0, len(columns[0]), step):
-            texts = []
-            for col in columns:
-                distinct, cell = np.unique(col[start:start + step].view(np.int64),
-                                           return_inverse=True)
-                text = np.array(list(map(repr, distinct.view(col.dtype).tolist())),
-                                dtype=object)
-                texts.append(text[cell].tolist())
-            fh.write("".join(",".join(row) + "\r\n" for row in zip(*texts)))
 
 
 def read_candidates(path: Path) -> CandidateTable:

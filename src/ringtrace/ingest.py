@@ -1,11 +1,13 @@
 """External transaction dumps: parse, join labels, run the standard pipeline.
 
 The documented `xmr-dump.json` schema (schemas/xmr-dump.schema.json) is the
-integration boundary for real-chain data.  A parsed dump converts into the
+integration boundary for real-chain data.  The record codec of
+:mod:`ringtrace.records` reads it as `ExternalTx` records and checks their
+types; :func:`parse_dump` checks the values.  A parsed dump converts into the
 same public-chain structure the simulator produces, so featurization and
-training are byte-for-byte the native code paths.  Ring references that point
-outside the dump window stay as opaque members with zero-filled neighbor
-features and a per-row coverage fraction for filtering.
+training are byte-for-byte the native code paths.  Ring references that point outside the dump window stay
+as opaque members with zero-filled neighbor features and a per-row coverage
+fraction for filtering.
 """
 
 import warnings
@@ -15,23 +17,38 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateLabels, SchemaError
-from .features import FeatureMatrix, featurize_chain, load_csv
-from .ledger import PublicChain, PublicOutput, PublicTx, dump_json, load_json
+from .features import FeatureMatrix, featurize_chain
+from .ledger import PublicChain, PublicOutput, PublicTx
 from .ml.crossval import ModelSpec, SearchSpec
 # not called here: perfbench/spans.py traces ingest runs through these names
 from .ml.crossval import fit_model, kfold_eval  # noqa: F401
 from .ml.tasks import ModelReport, group_task
+from .records import FORMAT_VERSION, _Stream, dump_json, load_csv, load_json
+from .records import load_record, read_record
 
-FORMAT_VERSION = 1
+
+@dataclass(slots=True)
+class DumpMember:
+    """A ring member: its creating transaction's hash and its index among
+    that transaction's outputs."""
+
+    tx_hash: str
+    output_index: int
 
 
-@dataclass
+@dataclass(slots=True)
 class ExternalTx:
     tx_hash: str
     block_height: int
     timestamp: int
-    rings: list[list[tuple[str, int]]]
+    rings: list[list[DumpMember]]
     num_outputs: int
+
+
+@dataclass
+class _DumpFile:
+    format_version: int
+    transactions: list[ExternalTx]
 
 
 @dataclass
@@ -44,91 +61,68 @@ class ParsedDump:
         return [t.tx_hash for t in self.txs]
 
 
-def _need(record: dict, index: int, key: str, types):
-    if key not in record:
-        raise SchemaError("missing required field", record=index, field=key)
-    value = record[key]
-    if not isinstance(value, types) or isinstance(value, bool):
-        raise SchemaError(f"wrong type {type(value).__name__}", record=index,
-                          field=key)
-    return value
+def _read_dump(path_or_payload) -> _DumpFile:
+    """The dump of a file or payload: an object with `transactions`, read a
+    block at a time from a file, or a bare array, wrapped as that object."""
+    if isinstance(path_or_payload, (str, Path)):
+        with open(path_or_payload) as fh:
+            bare = _Stream(fh).peek() == "["
+        if not bare:
+            return load_record(_DumpFile, path_or_payload)
+        payload, source = load_json(path_or_payload), path_or_payload
+    else:
+        payload, source = path_or_payload, "xmr-dump.json"
+    if isinstance(payload, list):
+        payload = {"format_version": FORMAT_VERSION, "transactions": payload}
+    return read_record(_DumpFile, payload, source)
 
 
 def parse_dump(path_or_payload) -> ParsedDump:
-    """Validate an xmr-dump.json file into ExternalTx records.
+    """Validate an xmr-dump.json file, or its parsed payload, into ExternalTx
+    records.
 
     Dangling ring references (hashes outside the window) are collected, not
-    fatal.  Structural problems raise SchemaError naming the record and
-    field; a resolvable reference to the future or to a nonexistent output
-    index is structural.
+    fatal.  A missing or mistyped field raises SchemaError naming the
+    transaction by its hash; a negative or empty value, a repeated hash, or a
+    resolvable reference to the future or to a nonexistent output index
+    raises it naming the record's position.  Either names the field.
     """
-    if isinstance(path_or_payload, (str, Path)):
-        payload = load_json(path_or_payload)
-    else:
-        payload = path_or_payload
-    if isinstance(payload, dict):
-        if payload.get("format_version") != FORMAT_VERSION:
-            raise SchemaError(
-                f"unsupported format_version {payload.get('format_version')!r}",
-                field="format_version")
-        records = payload.get("transactions")
-    else:
-        records = payload
-    if not isinstance(records, list):
-        raise SchemaError("top level must be an array of transactions")
-
-    txs: list[ExternalTx] = []
-    seen: dict[str, int] = {}
-    for i, rec in enumerate(records):
-        if not isinstance(rec, dict):
-            raise SchemaError("transaction record must be an object", record=i)
-        tx_hash = _need(rec, i, "tx_hash", str)
-        if tx_hash in seen:
-            raise SchemaError(f"duplicate tx_hash {tx_hash!r}", record=i,
-                              field="tx_hash")
-        fields = {key: _need(rec, i, key, int)
-                  for key in ("block_height", "timestamp", "num_outputs")}
-        for key, value in fields.items():
-            if value < 0:
+    txs = _read_dump(path_or_payload).transactions
+    by_hash: dict[str, ExternalTx] = {}
+    for i, tx in enumerate(txs):
+        if not tx.tx_hash:
+            raise SchemaError("empty tx_hash", record=i, field="tx_hash")
+        if tx.tx_hash in by_hash:
+            raise SchemaError(f"duplicate tx_hash {tx.tx_hash!r}", record=i, field="tx_hash")
+        by_hash[tx.tx_hash] = tx
+        for key in ("block_height", "timestamp", "num_outputs"):
+            if getattr(tx, key) < 0:
                 raise SchemaError("negative value", record=i, field=key)
-        raw_rings = _need(rec, i, "rings", list)
-        rings: list[list[tuple[str, int]]] = []
-        for ring in raw_rings:
-            if not isinstance(ring, list) or not ring:
-                raise SchemaError("ring must be a non-empty array", record=i,
-                                  field="rings")
-            members = []
+        for ring in tx.rings:
+            if not ring:
+                raise SchemaError("ring must be a non-empty array", record=i, field="rings")
             for m in ring:
-                if not isinstance(m, dict):
-                    raise SchemaError("ring member must be an object", record=i,
-                                      field="rings")
-                mh = _need(m, i, "tx_hash", str)
-                mi = _need(m, i, "output_index", int)
-                if mi < 0:
-                    raise SchemaError("negative output_index", record=i,
-                                      field="rings")
-                members.append((mh, mi))
-            rings.append(members)
-        seen[tx_hash] = i
-        txs.append(ExternalTx(tx_hash=tx_hash, rings=rings, **fields))
+                if not m.tx_hash:
+                    raise SchemaError("empty ring member tx_hash", record=i, field="rings")
+                if m.output_index < 0:
+                    raise SchemaError("negative output_index", record=i, field="rings")
 
-    by_hash = {t.tx_hash: t for t in txs}
     dangling: list[tuple[str, int]] = []
     for i, tx in enumerate(txs):
         for ring in tx.rings:
-            for mh, mi in ring:
-                ref = by_hash.get(mh)
+            for m in ring:
+                ref = by_hash.get(m.tx_hash)
                 if ref is None:
-                    dangling.append((mh, mi))
+                    dangling.append((m.tx_hash, m.output_index))
                     continue
                 if ref.block_height >= tx.block_height:
                     raise SchemaError(
-                        f"ring references {mh!r} at height {ref.block_height},"
+                        f"ring references {m.tx_hash!r} at height {ref.block_height},"
                         f" not below {tx.block_height}", record=i, field="rings")
-                if mi >= ref.num_outputs:
+                if m.output_index >= ref.num_outputs:
                     raise SchemaError(
-                        f"output_index {mi} out of range for {mh!r}", record=i,
-                        field="rings")
+                        f"output_index {m.output_index} out of range for {m.tx_hash!r}",
+                        record=i, field="rings")
     return ParsedDump(txs=txs, dangling=dangling)
 
 
@@ -140,13 +134,9 @@ def dump_to_public_chain(parsed: ParsedDump) -> tuple[PublicChain, list[str]]:
     """
     txs: dict[int, PublicTx] = {}
     outs: dict[int, PublicOutput] = {}
-    hash_to_tx: dict[str, int] = {}
     output_of: dict[tuple[str, int], int] = {}
     next_out = 0
-    hashes: list[str] = []
     for tx_id, rec in enumerate(parsed.txs):
-        hash_to_tx[rec.tx_hash] = tx_id
-        hashes.append(rec.tx_hash)
         ids = []
         for k in range(rec.num_outputs):
             outs[next_out] = PublicOutput(
@@ -165,43 +155,35 @@ def dump_to_public_chain(parsed: ParsedDump) -> tuple[PublicChain, list[str]]:
         rings = []
         for ring in rec.rings:
             members = []
-            for mh, mi in ring:
-                oid = output_of.get((mh, mi))
+            for m in ring:
+                key = (m.tx_hash, m.output_index)
+                oid = output_of.get(key)
                 if oid is None:  # opaque member outside the window
                     outs[next_out] = PublicOutput(
                         output_id=next_out, created_by_tx=None, block_height=-1,
                         timestamp=0, is_coinbase=False)
-                    output_of[(mh, mi)] = next_out
+                    output_of[key] = next_out
                     oid = next_out
                     next_out += 1
                 members.append(oid)
             rings.append(members)
         txs[tx_id].rings = rings
-    return PublicChain(blocks=[], transactions=txs, outputs=outs), hashes
+    return PublicChain(blocks=[], transactions=txs, outputs=outs), parsed.hashes
 
 
 def export_dump(pub: PublicChain, path: Path | None = None) -> dict:
     """Write a public chain in the dump schema (the round-trip direction)."""
     hash_of = {tx_id: f"{tx_id:016x}" for tx_id in pub.transactions}
-    records = []
-    for tx_id in sorted(pub.transactions):
-        tx = pub.transactions[tx_id]
-        rings = []
-        for ring in tx.rings:
-            members = []
-            for oid in ring:
-                creator = pub.outputs[oid].created_by_tx
-                index = pub.transactions[creator].outputs.index(oid)
-                members.append({"tx_hash": hash_of[creator], "output_index": index})
-            rings.append(members)
-        records.append({
-            "tx_hash": hash_of[tx_id],
-            "block_height": tx.block_height,
-            "timestamp": tx.timestamp,
-            "rings": rings,
-            "num_outputs": len(tx.outputs),
-        })
-    payload = {"format_version": FORMAT_VERSION, "transactions": records}
+
+    def member(oid: int) -> dict:
+        creator = pub.outputs[oid].created_by_tx
+        return {"tx_hash": hash_of[creator],
+                "output_index": pub.transactions[creator].outputs.index(oid)}
+
+    payload = {"format_version": FORMAT_VERSION, "transactions": [
+        {"tx_hash": hash_of[tx_id], "block_height": tx.block_height, "timestamp": tx.timestamp,
+         "rings": [list(map(member, ring)) for ring in tx.rings], "num_outputs": len(tx.outputs)}
+        for tx_id, tx in sorted(pub.transactions.items())]}
     if path is not None:
         dump_json(payload, path)
     return payload

@@ -14,11 +14,10 @@ import numpy as np
 
 from ..errors import ConstantTarget, DegenerateLabels, Diverged
 from ..features import CandidateTable, FeatureMatrix
-from ..ledger import dump_csv, dump_json
+from ..records import FORMAT_VERSION, dump_csv, dump_json
 from .crossval import ModelSpec, SearchSpec, _derive_seed, fit_model, kfold_eval
 from .forest import feature_importance
 
-FORMAT_VERSION = 1
 _EPS = 1e-12
 
 

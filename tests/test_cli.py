@@ -424,6 +424,22 @@ def test_mistyped_chain_field_exit_2(workdir, tmp_path, capsys, argv, source, ta
     assert err["message"].endswith(f"(field '{field}')")
 
 
+def test_mistyped_dump_field_exit_2(workdir, dump, tmp_path, capsys):
+    payload = json.loads(dump.read_text())
+    rec = payload["transactions"][1]
+    rec["timestamp"] = "x"
+    bad = tmp_path / "xmr-dump.json"
+    bad.write_text(json.dumps(payload))
+    assert main(["ingest", "--dump", str(bad), "--labels", str(workdir / "ext_labels.csv"),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "SchemaError"
+    assert err["message"].startswith(f'{bad}: ExternalTx "{rec["tx_hash"]}": timestamp is '
+                                     '"x", expected int')
+    assert err["message"].endswith("(field 'timestamp')")
+    assert not (tmp_path / "out").exists()
+
+
 def test_mistyped_ring_member_names_its_transaction(workdir, tmp_path, capsys):
     payload = json.loads((workdir / "sim" / "chain.json").read_text())
     tx = next(t for t in payload["transactions"] if t["inputs"])

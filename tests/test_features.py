@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ringtrace import features
+from ringtrace import features, records
 from ringtrace.economy import gen_economy, run_simulation
 from ringtrace.errors import EmptyChain, NoRings, NoTwoRingTxs, SchemaError
 from ringtrace.features import (
@@ -663,7 +663,7 @@ def test_candidates_writer_across_row_chunks(sim_public):
     raw = _tricky_rows(candidate_table(sim_public).raw, n_tricky=24000)
     table = CandidateTable(_ring_keys(raw.shape[0], 11, 10**12, 3),
                            CANDIDATE_NAMES, raw)
-    assert raw.shape[0] > 2 * features._CHUNK_CELLS // (3 + raw.shape[1])
+    assert raw.shape[0] > 2 * records._CHUNK_CELLS // (3 + raw.shape[1])
     assert _candidates_bytes(table) == _reference_candidates_csv(table)
 
 
@@ -676,7 +676,7 @@ def test_feature_writer_across_row_chunks(sim_public, include_coverage):
                        names=fm.names, raw=raw,
                        coverage=rng.choice([0.0, 0.25, 1 / 3, 1.0], size=raw.shape[0]))
     assert raw.shape[1] == 182
-    assert raw.shape[0] > 2 * features._CHUNK_CELLS // (2 + raw.shape[1])
+    assert raw.shape[0] > 2 * records._CHUNK_CELLS // (2 + raw.shape[1])
     assert _feature_bytes(fm, include_coverage) == _reference_feature_csvs(fm, include_coverage)
 
 
@@ -688,7 +688,7 @@ def test_table_writer_memory_is_bounded(tmp_path):
     header = [f"c{j}" for j in range(len(columns))]
     tracemalloc.start()
     try:
-        features._write_table(tmp_path / "table.csv", header, columns)
+        records._write_table(tmp_path / "table.csv", header, columns)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,6 +1,9 @@
 """Dump parsing, label joins, and the external pipeline round trip."""
 
+import json
 import warnings
+from dataclasses import fields
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -9,6 +12,8 @@ from ringtrace.economy import gen_economy, run_simulation
 from ringtrace.errors import DegenerateLabels, SchemaError
 from ringtrace.features import featurize_chain
 from ringtrace.ingest import (
+    DumpMember,
+    ExternalTx,
     dump_to_public_chain,
     export_dump,
     external_pipeline,
@@ -99,6 +104,55 @@ def test_output_index_out_of_range():
 def test_envelope_with_wrong_version():
     with pytest.raises(SchemaError, match="format_version"):
         parse_dump({"format_version": 99, "transactions": []})
+
+
+def test_empty_tx_hash_rejected():
+    with pytest.raises(SchemaError, match="record 0, field 'tx_hash'"):
+        parse_dump([record("", 0, 100)])
+    bad = [record("aa", 0, 100), record("bb", 1, 220, rings=[[member("")]])]
+    with pytest.raises(SchemaError, match="record 1, field 'rings'"):
+        parse_dump(bad)
+
+
+def test_mistyped_field_names_the_transaction_by_hash():
+    bad = [record("aa", 0, 100), record("bb", 1, "x")]
+    with pytest.raises(SchemaError) as err:
+        parse_dump(bad)
+    assert str(err.value) == ('xmr-dump.json: ExternalTx "bb": timestamp is "x", '
+                              "expected int (field 'timestamp')")
+    bad = [record("aa", 0, 100), record("bb", 1, 220, rings=[[member("aa", "0")]])]
+    with pytest.raises(SchemaError) as err:
+        parse_dump(bad)
+    assert str(err.value) == ('xmr-dump.json: ExternalTx "bb": DumpMember "aa": '
+                              "output_index is \"0\", expected int (field 'output_index')")
+
+
+@pytest.mark.parametrize("indent", [None, 2])
+def test_bare_array_file_parses_as_the_object_form(tmp_path, indent):
+    bare, wrapped = tmp_path / "bare.json", tmp_path / "wrapped.json"
+    bare.write_text("\n " + json.dumps(FIXTURE, indent=indent))
+    wrapped.write_text(json.dumps({"format_version": 1, "transactions": FIXTURE},
+                                  indent=indent))
+    parsed = parse_dump(bare)
+    assert parsed == parse_dump(wrapped) == parse_dump(FIXTURE)
+    assert parsed.txs[2].rings == [[DumpMember("aa", 0), DumpMember("bb", 0)]]
+    assert parsed.dangling == [("zz", 3)]
+
+
+def test_truncated_bare_array_file_names_line_and_column(tmp_path):
+    path = tmp_path / "bare.json"
+    path.write_text(json.dumps(FIXTURE)[:40])
+    with pytest.raises(SchemaError, match=f"{path}: line 1 column "):
+        parse_dump(path)
+
+
+def test_schema_required_fields_are_the_record_fields():
+    schema = json.loads(resources.files("ringtrace").joinpath(
+        "schemas/xmr-dump.schema.json").read_text())
+    records = {"member": DumpMember, "transaction": ExternalTx}
+    assert schema["definitions"].keys() == records.keys()
+    for name, cls in records.items():
+        assert schema["definitions"][name]["required"] == [f.name for f in fields(cls)]
 
 
 # labels ------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ringtrace import economy, features, ledger
+from ringtrace import economy, features, ingest, ledger, records
 from ringtrace.errors import DoubleSpend, InsufficientFunds, PoolTooSmall
 from ringtrace.ledger import (
     Chain,
@@ -387,6 +387,7 @@ CODEC_RECORDS = [
     economy.AgentProfile, economy.SimParams, economy.ScheduledTx,
     economy._SpecFile, economy._EconomyFile,
     features.ColumnStats, features._NormStatsFile,
+    ingest.DumpMember, ingest.ExternalTx, ingest._DumpFile,
 ]
 
 
@@ -422,13 +423,13 @@ def _values(ann):
 @given(data=st.data())
 def test_codec_writes_json_dumps_text_and_reads_it_back(cls, data):
     rec = data.draw(_values(cls))
-    text = ledger._json_writer(cls)(rec)
+    text = records._json_writer(cls)(rec)
     assert text == json.dumps(asdict(rec), sort_keys=True, separators=(",", ":"))
-    assert ledger._json_reader(cls)(json.loads(text)) == rec
+    assert records._json_reader(cls)(json.loads(text)) == rec
 
 
 
-FILE_RECORDS = [cls for cls in CODEC_RECORDS if "format_version" in ledger._field_names(cls)]
+FILE_RECORDS = [cls for cls in CODEC_RECORDS if "format_version" in records._field_names(cls)]
 
 
 @pytest.mark.parametrize("cls", FILE_RECORDS, ids=lambda cls: cls.__name__)
@@ -437,13 +438,13 @@ FILE_RECORDS = [cls for cls in CODEC_RECORDS if "format_version" in ledger._fiel
 def test_load_record_reads_any_block_size_and_layout(cls, data, block, indent, tmp_path,
                                                      monkeypatch):
     # blocks of a few characters cut numbers, strings and items short
-    rec = replace(data.draw(_values(cls)), format_version=ledger.FORMAT_VERSION)
+    rec = replace(data.draw(_values(cls)), format_version=records.FORMAT_VERSION)
     path = tmp_path / "rec.json"
     path.write_text(json.dumps(asdict(rec), indent=indent))
-    monkeypatch.setattr(ledger._Stream, "BLOCK", block)
+    monkeypatch.setattr(records._Stream, "BLOCK", block)
     # no fallback to the whole-text parse
-    monkeypatch.delattr(ledger, "load_json", raising=False)
-    assert ledger.load_record(cls, path) == rec
+    monkeypatch.delattr(records, "load_json", raising=False)
+    assert records.load_record(cls, path) == rec
 
 
 def test_loaded_chain_shares_one_int_per_value(tmp_path):
