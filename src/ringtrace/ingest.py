@@ -5,9 +5,9 @@ integration boundary for real-chain data.  The record codec of
 :mod:`ringtrace.records` reads it as `ExternalTx` records and checks their
 types; :func:`parse_dump` checks the values.  A parsed dump converts into the
 same public-chain structure the simulator produces, so featurization and
-training are byte-for-byte the native code paths.  Ring references that point outside the dump window stay
-as opaque members with zero-filled neighbor features and a per-row coverage
-fraction for filtering.
+training are byte-for-byte the native code paths.  Ring references that point
+outside the dump window stay as opaque members with zero-filled neighbor
+features and a per-row coverage fraction for filtering.
 """
 
 import warnings

@@ -91,6 +91,7 @@ def load_record(cls, path: Path):
         # the whole-text parse reports the error, or reads what the
         # streaming scanner does not take
         payload, streamed = load_json(path), {}
+    # a streamed payload is a dict; a whole-text one may be any JSON value
     rec = read_record(cls, payload | dict.fromkeys(streamed, []) if streamed else payload,
                       path)
     for name, items in streamed.items():
