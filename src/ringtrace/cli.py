@@ -86,9 +86,9 @@ def cmd_simulate(args) -> int:
     path = _require_file(args.economy, "economy file")
     spec, files = econ.load_economy(path)
     params = spec.sim
-    for name, least in (("block_interval", 1), ("processing_delay", 0)):
+    for name in ("block_interval", "processing_delay"):
         if (value := getattr(args, name)) is not None:
-            if value < least:
+            if value < (least := econ.SIM_LEAST[name]):
                 raise InvalidSimParams(f"--{name.replace('_', '-')}: {name} must be "
                                        f">= {least}, got {value}")
             setattr(params, name, value)
@@ -243,6 +243,7 @@ def cmd_ingest(args) -> int:
     model_spec = _model_spec("external", args.model)
     search = SearchSpec(budget=args.budget, folds=args.folds, seed=args.seed)
     report, fm = ing.external_pipeline(parsed, labels, model_spec, search)
+    del parsed  # the dump's records and chain are not needed to write the outputs
     out = Path(args.out)
     save_report(report, out)
     feats.write_feature_matrix(fm, out, include_coverage=True)

@@ -62,6 +62,20 @@ class SimParams:
         return DecoyPolicy(self.decoy_kind, self.recency_shape)
 
 
+# the least valid value of each integer SimParams setting
+SIM_LEAST = {
+    "block_interval": 1,  # block times would not advance, so no request would come due
+    "block_reward": 1,  # no income: every transfer stalls
+    "fee": 0,
+    "coinbase_maturity": 0,
+    "warmup_blocks": 0,
+    # transfers would come due before their request and be stamped after their block
+    "processing_delay": 0,
+    "stall_limit": 1,
+    "drain_blocks": 0,
+}
+
+
 @dataclass
 class EconomySpec:
     name: str
@@ -252,12 +266,9 @@ def run_simulation(files: EconomyFile, spec: EconomySpec) -> tuple[Chain, Ground
     failure triggers a StalledWarning with partial output returned.
     """
     params = spec.sim
-    if params.block_interval < 1:
-        # block times would not advance, so no request would come due
-        raise InvalidSimParams(f"block_interval must be >= 1, got {params.block_interval}")
-    if params.processing_delay < 0:
-        # transfers would come due before their request and be stamped after their block
-        raise InvalidSimParams(f"processing_delay must be >= 0, got {params.processing_delay}")
+    for name, least in SIM_LEAST.items():
+        if (value := getattr(params, name)) < least:
+            raise InvalidSimParams(f"{name} must be >= {least}, got {value}")
     if spec.ring_size < 1:
         raise InvalidSimParams(f"ring_size must be >= 1, got {spec.ring_size}")
     profiles = {a.agent_id: a for a in spec.agents}

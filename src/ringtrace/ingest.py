@@ -1,13 +1,14 @@
-"""External transaction dumps: parse, join labels, run the standard pipeline.
+"""External transaction dumps: parse, label, run the standard pipeline.
 
 The documented `xmr-dump.json` schema (schemas/xmr-dump.schema.json) is the
 integration boundary for real-chain data.  The record codec of
 :mod:`ringtrace.records` reads it as `ExternalTx` records and checks their
-types; :func:`parse_dump` checks the values.  A parsed dump converts into the
-same public-chain structure the simulator produces, so featurization and
-training are byte-for-byte the native code paths.  Ring references that point
-outside the dump window stay as opaque members with zero-filled neighbor
-features and a per-row coverage fraction for filtering.
+types; :func:`parse_dump` checks the values and, in the same walk over the
+ring members, builds the public-chain structure the simulator produces, so
+featurization and training are byte-for-byte the native code paths.  Ring
+references that point outside the dump window stay as opaque members with
+zero-filled neighbor features and a per-row coverage fraction for filtering.
+Transactions named in a label file are the positive class, the rest negative.
 """
 
 import warnings
@@ -54,121 +55,113 @@ class _DumpFile:
 @dataclass
 class ParsedDump:
     txs: list[ExternalTx]
-    dangling: list[tuple[str, int]] = field(default_factory=list)
+    dangling: list[tuple[str, int]]
+    chain: PublicChain = field(compare=False, repr=False)  # made from txs
 
     @property
     def hashes(self) -> list[str]:
         return [t.tx_hash for t in self.txs]
 
 
-def _read_dump(path_or_payload) -> _DumpFile:
-    """The dump of a file or payload: an object with `transactions`, read a
-    block at a time from a file, or a bare array, wrapped as that object."""
+def _read_dump(path_or_payload) -> tuple[list[ExternalTx], str | Path]:
+    """The records of a file or payload, and the name its errors give: an
+    object with `transactions`, read a block at a time from a file, or a bare
+    array, wrapped as that object."""
     if isinstance(path_or_payload, (str, Path)):
-        with open(path_or_payload) as fh:
+        source = Path(path_or_payload)
+        with open(source) as fh:
             bare = _Stream(fh).peek() == "["
         if not bare:
-            return load_record(_DumpFile, path_or_payload)
-        payload, source = load_json(path_or_payload), path_or_payload
+            return load_record(_DumpFile, source).transactions, source
+        payload = load_json(source)
     else:
         payload, source = path_or_payload, "xmr-dump.json"
     if isinstance(payload, list):
         payload = {"format_version": FORMAT_VERSION, "transactions": payload}
-    return read_record(_DumpFile, payload, source)
+    return read_record(_DumpFile, payload, source).transactions, source
 
 
 def parse_dump(path_or_payload) -> ParsedDump:
     """Validate an xmr-dump.json file, or its parsed payload, into ExternalTx
-    records.
+    records and the native public chain they describe.
 
-    Dangling ring references (hashes outside the window) are collected, not
-    fatal.  A missing or mistyped field raises SchemaError naming the
-    transaction by its hash; a negative or empty value, a repeated hash, or a
-    resolvable reference to the future or to a nonexistent output index
-    raises it naming the record's position.  Either names the field.
+    Transaction and output ids follow file order.  Ring members outside the
+    window (dangling references, collected per occurrence, not fatal) become
+    one output with no creating transaction per distinct (tx_hash,
+    output_index), numbered after every record's outputs.  A missing or
+    mistyped field raises SchemaError naming the transaction by its hash; a
+    negative or empty value, a repeated hash, or a resolvable reference to
+    the future or to a nonexistent output index raises it naming the
+    record's position.  Either names the file (or `xmr-dump.json` for a
+    payload) and the field.
     """
-    txs = _read_dump(path_or_payload).transactions
-    by_hash: dict[str, ExternalTx] = {}
+    txs, source = _read_dump(path_or_payload)
+
+    def error(message: str, record: int, key: str = "rings") -> SchemaError:
+        return SchemaError(f"{source}: {message}", record=record, field=key)
+
+    tx_id_of: dict[str, int] = {}
+    pub_txs: dict[int, PublicTx] = {}
+    outs: dict[int, PublicOutput] = {}
     for i, tx in enumerate(txs):
         if not tx.tx_hash:
-            raise SchemaError("empty tx_hash", record=i, field="tx_hash")
-        if tx.tx_hash in by_hash:
-            raise SchemaError(f"duplicate tx_hash {tx.tx_hash!r}", record=i, field="tx_hash")
-        by_hash[tx.tx_hash] = tx
+            raise error("empty tx_hash", i, "tx_hash")
+        if tx.tx_hash in tx_id_of:
+            raise error(f"duplicate tx_hash {tx.tx_hash!r}", i, "tx_hash")
+        tx_id_of[tx.tx_hash] = i
         for key in ("block_height", "timestamp", "num_outputs"):
             if getattr(tx, key) < 0:
-                raise SchemaError("negative value", record=i, field=key)
+                raise error("negative value", i, key)
         for ring in tx.rings:
             if not ring:
-                raise SchemaError("ring must be a non-empty array", record=i, field="rings")
+                raise error("ring must be a non-empty array", i)
             for m in ring:
                 if not m.tx_hash:
-                    raise SchemaError("empty ring member tx_hash", record=i, field="rings")
+                    raise error("empty ring member tx_hash", i)
                 if m.output_index < 0:
-                    raise SchemaError("negative output_index", record=i, field="rings")
+                    raise error("negative output_index", i)
+        ids = range(len(outs), len(outs) + tx.num_outputs)
+        for oid in ids:
+            outs[oid] = PublicOutput(output_id=oid, created_by_tx=i,
+                                     block_height=tx.block_height, timestamp=tx.timestamp,
+                                     is_coinbase=not tx.rings)
+        pub_txs[i] = PublicTx(tx_id=i, timestamp=tx.timestamp, block_height=tx.block_height,
+                              rings=[], outputs=list(ids), fee=0,
+                              kind="transfer" if tx.rings else "coinbase")
 
     dangling: list[tuple[str, int]] = []
+    opaque: dict[tuple[str, int], int] = {}
     for i, tx in enumerate(txs):
         for ring in tx.rings:
+            members = []
             for m in ring:
-                ref = by_hash.get(m.tx_hash)
+                ref = tx_id_of.get(m.tx_hash)
                 if ref is None:
-                    dangling.append((m.tx_hash, m.output_index))
+                    key = (m.tx_hash, m.output_index)
+                    dangling.append(key)
+                    if key not in opaque:
+                        oid = opaque[key] = len(outs)
+                        outs[oid] = PublicOutput(output_id=oid, created_by_tx=None,
+                                                 block_height=-1, timestamp=0,
+                                                 is_coinbase=False)
+                    members.append(opaque[key])
                     continue
-                if ref.block_height >= tx.block_height:
-                    raise SchemaError(
-                        f"ring references {m.tx_hash!r} at height {ref.block_height},"
-                        f" not below {tx.block_height}", record=i, field="rings")
-                if m.output_index >= ref.num_outputs:
-                    raise SchemaError(
-                        f"output_index {m.output_index} out of range for {m.tx_hash!r}",
-                        record=i, field="rings")
-    return ParsedDump(txs=txs, dangling=dangling)
+                ref_tx = pub_txs[ref]
+                if ref_tx.block_height >= tx.block_height:
+                    raise error(f"ring references {m.tx_hash!r} at height"
+                                f" {ref_tx.block_height}, not below {tx.block_height}", i)
+                if m.output_index >= len(ref_tx.outputs):
+                    raise error(f"output_index {m.output_index} out of range"
+                                f" for {m.tx_hash!r}", i)
+                members.append(ref_tx.outputs[m.output_index])
+            pub_txs[i].rings.append(members)
+    return ParsedDump(txs=txs, dangling=dangling,
+                      chain=PublicChain(blocks=[], transactions=pub_txs, outputs=outs))
 
 
 def dump_to_public_chain(parsed: ParsedDump) -> tuple[PublicChain, list[str]]:
-    """Convert records to the native public-chain structure.
-
-    Sequential ids follow file order; unknown references become outputs with
-    no creating transaction.  Returns the chain and tx_hash per tx_id.
-    """
-    txs: dict[int, PublicTx] = {}
-    outs: dict[int, PublicOutput] = {}
-    output_of: dict[tuple[str, int], int] = {}
-    next_out = 0
-    for tx_id, rec in enumerate(parsed.txs):
-        ids = []
-        for k in range(rec.num_outputs):
-            outs[next_out] = PublicOutput(
-                output_id=next_out, created_by_tx=tx_id,
-                block_height=rec.block_height, timestamp=rec.timestamp,
-                is_coinbase=not rec.rings)
-            output_of[(rec.tx_hash, k)] = next_out
-            ids.append(next_out)
-            next_out += 1
-        txs[tx_id] = PublicTx(
-            tx_id=tx_id, timestamp=rec.timestamp, block_height=rec.block_height,
-            rings=[], outputs=ids, fee=0,
-            kind="transfer" if rec.rings else "coinbase")
-    # second pass: resolve members now that all outputs exist
-    for tx_id, rec in enumerate(parsed.txs):
-        rings = []
-        for ring in rec.rings:
-            members = []
-            for m in ring:
-                key = (m.tx_hash, m.output_index)
-                oid = output_of.get(key)
-                if oid is None:  # opaque member outside the window
-                    outs[next_out] = PublicOutput(
-                        output_id=next_out, created_by_tx=None, block_height=-1,
-                        timestamp=0, is_coinbase=False)
-                    output_of[key] = next_out
-                    oid = next_out
-                    next_out += 1
-                members.append(oid)
-            rings.append(members)
-        txs[tx_id].rings = rings
-    return PublicChain(blocks=[], transactions=txs, outputs=outs), parsed.hashes
+    """The dump's native public chain and the tx_hash of each tx_id."""
+    return parsed.chain, parsed.hashes
 
 
 def export_dump(pub: PublicChain, path: Path | None = None) -> dict:
@@ -202,27 +195,6 @@ def load_labels(path: Path) -> dict[str, str]:
     return labels
 
 
-@dataclass
-class JoinedDataset:
-    hashes: list[str]
-    y: np.ndarray  # 1 = labeled positive
-    positive_rate: float
-    unmatched: list[str]
-
-
-def join_labels(parsed: ParsedDump, labels: dict[str, str]) -> JoinedDataset:
-    """Binary-label the dump; unlabeled transactions are the negative class."""
-    have = set(parsed.hashes)
-    y = np.array([1 if h in labels else 0 for h in parsed.hashes], dtype=np.int64)
-    unmatched = sorted(h for h in labels if h not in have)
-    rate = float(y.mean()) if y.size else 0.0
-    if y.size and y.sum() == 0:
-        warnings.warn("no label matched any transaction; all rows negative",
-                      UserWarning)
-    return JoinedDataset(hashes=parsed.hashes, y=y, positive_rate=rate,
-                         unmatched=unmatched)
-
-
 # Pipeline --------------------------------------------------------------------
 
 
@@ -238,14 +210,16 @@ def external_pipeline(parsed: ParsedDump, labels: dict[str, str], model_spec: Mo
     """
     pub, hashes = dump_to_public_chain(parsed)
     fm = featurize_chain(pub)
-    joined = join_labels(parsed, labels)
+    positives = sum(h in labels for h in hashes)
+    if hashes and not positives:
+        warnings.warn("no label matched any transaction; all rows negative", UserWarning)
     y = np.array([hashes[t] in labels for t in fm.tx_ids], dtype=np.int64)
     if np.unique(y).size < 2:
         raise DegenerateLabels("need both labeled and unlabeled transactions")
 
     report = replace(group_task(fm, y, model_spec, search), task="external_label", extras={
-        "positive_rate": joined.positive_rate,
-        "unmatched_labels": len(joined.unmatched),
+        "positive_rate": positives / len(hashes) if hashes else 0.0,
+        "unmatched_labels": len(labels.keys() - set(hashes)),
         "dangling_references": len(parsed.dangling),
         "mean_coverage": float(fm.coverage.mean()),
     })

@@ -440,6 +440,19 @@ def test_mistyped_dump_field_exit_2(workdir, dump, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_negative_dump_value_exit_2(workdir, dump, tmp_path, capsys):
+    payload = json.loads(dump.read_text())
+    payload["transactions"][1]["timestamp"] = -5
+    bad = tmp_path / "xmr-dump.json"
+    bad.write_text(json.dumps(payload))
+    assert main(["ingest", "--dump", str(bad), "--labels", str(workdir / "ext_labels.csv"),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "SchemaError"
+    assert err["message"] == f"{bad}: negative value (record 1, field 'timestamp')"
+    assert not (tmp_path / "out").exists()
+
+
 def test_mistyped_ring_member_names_its_transaction(workdir, tmp_path, capsys):
     payload = json.loads((workdir / "sim" / "chain.json").read_text())
     tx = next(t for t in payload["transactions"] if t["inputs"])
@@ -499,6 +512,12 @@ def test_mistyped_economy_field_exit_2(workdir, tmp_path, capsys, path, value, t
     (("files", "0", 0, "amount"), -5, "amount"),
     (("files", "0", 0, "dest"), 99, "dest"),
     (("files", "0", 0, "wait"), -60, "wait"),
+    (("spec", "sim", "fee"), -3, "fee"),
+    (("spec", "sim", "coinbase_maturity"), -5, "coinbase_maturity"),
+    (("spec", "sim", "warmup_blocks"), -1, "warmup_blocks"),
+    (("spec", "sim", "stall_limit"), -1, "stall_limit"),
+    (("spec", "sim", "drain_blocks"), -2, "drain_blocks"),
+    (("spec", "sim", "block_reward"), 0, "block_reward"),
 ])
 def test_economy_value_out_of_range_exit_2(workdir, tmp_path, capsys, path, value, field):
     economy = json.loads((workdir / "econ" / "economy.json").read_text())

@@ -1,4 +1,4 @@
-"""Dump parsing, label joins, and the external pipeline round trip."""
+"""Dump parsing and conversion, labels, and the external pipeline round trip."""
 
 import json
 import warnings
@@ -7,6 +7,8 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ringtrace.economy import gen_economy, run_simulation
 from ringtrace.errors import DegenerateLabels, SchemaError
@@ -17,11 +19,10 @@ from ringtrace.ingest import (
     dump_to_public_chain,
     export_dump,
     external_pipeline,
-    join_labels,
     load_labels,
     parse_dump,
 )
-from ringtrace.ledger import public_view
+from ringtrace.ledger import PublicChain, PublicOutput, PublicTx, public_view
 from ringtrace.ml import ModelSpec, SearchSpec
 from ringtrace.rng import Rng
 
@@ -74,13 +75,16 @@ def test_missing_timestamp_is_schema_error():
 def test_negative_count_names_its_field(field):
     bad = record("aa", 0, 100)
     bad[field] = -1
-    with pytest.raises(SchemaError, match=f"record 0, field '{field}'"):
+    with pytest.raises(SchemaError) as err:
         parse_dump([bad])
+    assert str(err.value) == f"xmr-dump.json: negative value (record 0, field '{field}')"
 
 
 def test_duplicate_hash_rejected():
-    with pytest.raises(SchemaError, match="duplicate"):
+    with pytest.raises(SchemaError) as err:
         parse_dump([record("aa", 0, 1), record("aa", 1, 2)])
+    assert str(err.value) == ("xmr-dump.json: duplicate tx_hash 'aa' "
+                              "(record 1, field 'tx_hash')")
 
 
 def test_forward_reference_rejected():
@@ -88,8 +92,10 @@ def test_forward_reference_rejected():
         record("aa", 5, 100, num_outputs=1),
         record("bb", 1, 220, rings=[[member("aa", 0)]]),
     ]
-    with pytest.raises(SchemaError, match="not below"):
+    with pytest.raises(SchemaError) as err:
         parse_dump(bad)
+    assert str(err.value) == ("xmr-dump.json: ring references 'aa' at height 5, not below 1 "
+                              "(record 1, field 'rings')")
 
 
 def test_output_index_out_of_range():
@@ -97,8 +103,10 @@ def test_output_index_out_of_range():
         record("aa", 0, 100, num_outputs=1),
         record("bb", 1, 220, rings=[[member("aa", 5)]]),
     ]
-    with pytest.raises(SchemaError, match="out of range"):
+    with pytest.raises(SchemaError) as err:
         parse_dump(bad)
+    assert str(err.value) == ("xmr-dump.json: output_index 5 out of range for 'aa' "
+                              "(record 1, field 'rings')")
 
 
 def test_envelope_with_wrong_version():
@@ -107,11 +115,24 @@ def test_envelope_with_wrong_version():
 
 
 def test_empty_tx_hash_rejected():
-    with pytest.raises(SchemaError, match="record 0, field 'tx_hash'"):
+    with pytest.raises(SchemaError) as err:
         parse_dump([record("", 0, 100)])
+    assert str(err.value) == "xmr-dump.json: empty tx_hash (record 0, field 'tx_hash')"
     bad = [record("aa", 0, 100), record("bb", 1, 220, rings=[[member("")]])]
-    with pytest.raises(SchemaError, match="record 1, field 'rings'"):
+    with pytest.raises(SchemaError) as err:
         parse_dump(bad)
+    assert str(err.value) == ("xmr-dump.json: empty ring member tx_hash "
+                              "(record 1, field 'rings')")
+
+
+@pytest.mark.parametrize("rings, message", [
+    ([[]], "ring must be a non-empty array"),
+    ([[member("aa", -1)]], "negative output_index"),
+])
+def test_bad_ring_names_the_source(rings, message):
+    with pytest.raises(SchemaError) as err:
+        parse_dump([record("aa", 0, 100), record("bb", 1, 220, rings=rings)])
+    assert str(err.value) == f"xmr-dump.json: {message} (record 1, field 'rings')"
 
 
 def test_mistyped_field_names_the_transaction_by_hash():
@@ -155,31 +176,117 @@ def test_schema_required_fields_are_the_record_fields():
         assert schema["definitions"][name]["required"] == [f.name for f in fields(cls)]
 
 
+# conversion ---------------------------------------------------------------------
+
+
+def two_pass_public_chain(parsed):
+    """The oracle for parse_dump's chain, converting in two passes: every
+    record's outputs first, then the rings, resolved through one
+    (tx_hash, output_index) map that grows an opaque output per unknown key."""
+    txs, outs, output_of = {}, {}, {}
+    next_out = 0
+    for tx_id, rec in enumerate(parsed.txs):
+        ids = []
+        for k in range(rec.num_outputs):
+            outs[next_out] = PublicOutput(
+                output_id=next_out, created_by_tx=tx_id,
+                block_height=rec.block_height, timestamp=rec.timestamp,
+                is_coinbase=not rec.rings)
+            output_of[(rec.tx_hash, k)] = next_out
+            ids.append(next_out)
+            next_out += 1
+        txs[tx_id] = PublicTx(
+            tx_id=tx_id, timestamp=rec.timestamp, block_height=rec.block_height,
+            rings=[], outputs=ids, fee=0,
+            kind="transfer" if rec.rings else "coinbase")
+    for tx_id, rec in enumerate(parsed.txs):
+        rings = []
+        for ring in rec.rings:
+            members = []
+            for m in ring:
+                key = (m.tx_hash, m.output_index)
+                oid = output_of.get(key)
+                if oid is None:
+                    outs[next_out] = PublicOutput(
+                        output_id=next_out, created_by_tx=None, block_height=-1,
+                        timestamp=0, is_coinbase=False)
+                    output_of[key] = oid = next_out
+                    next_out += 1
+                members.append(oid)
+            rings.append(members)
+        txs[tx_id].rings = rings
+    return PublicChain(blocks=[], transactions=txs, outputs=outs)
+
+
+@st.composite
+def valid_dumps(draw):
+    """Records in an order unrelated to height, some without outputs or
+    rings; members resolve below their height or fall outside the window,
+    where a few (tx_hash, output_index) keys recur across rings."""
+    n = draw(st.integers(0, 8))
+    heights = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    n_outputs = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    outside = st.tuples(st.sampled_from(["zz", "yy"]), st.integers(0, 1))
+    records = []
+    for i in range(n):
+        below = [(f"t{j}", k) for j in range(n) if heights[j] < heights[i]
+                 for k in range(n_outputs[j])]
+        members = st.one_of(outside, st.sampled_from(below)) if below else outside
+        rings = draw(st.lists(st.lists(members, min_size=1, max_size=3), max_size=3))
+        records.append(record(f"t{i}", heights[i], draw(st.integers(0, 10**6)),
+                              rings=[[member(h, k) for h, k in ring] for ring in rings],
+                              num_outputs=n_outputs[i]))
+    return records
+
+
+@given(valid_dumps())
+def test_parsed_chain_matches_the_two_pass_converter(records):
+    parsed = parse_dump(records)
+    pub, hashes = dump_to_public_chain(parsed)
+    expected = two_pass_public_chain(parsed)
+    assert hashes == [r["tx_hash"] for r in records]
+    assert pub.blocks == expected.blocks == []
+    assert list(pub.transactions.items()) == list(expected.transactions.items())
+    assert list(pub.outputs.items()) == list(expected.outputs.items())
+
+
 # labels ------------------------------------------------------------------------
 
 
+TWO_TREES = ModelSpec("forest", "classify", {"n_trees": 2, "max_depth": 3})
+
+
 def test_join_labels_counts():
-    parsed = parse_dump(FIXTURE)
-    joined = join_labels(parsed, {"cc": "shapeshift", "qq": "shapeshift"})
-    assert joined.y.tolist() == [0, 0, 1, 0, 0]
-    assert joined.positive_rate == pytest.approx(0.2)
-    assert joined.unmatched == ["qq"]
+    records = FIXTURE + [record("ff", 5, 700, rings=[[member("cc", 0)]]),
+                         record("gg", 6, 800, rings=[[member("dd", 0)]])]
+    labels = {"cc": "shapeshift", "ff": "shapeshift", "qq": "shapeshift"}
+    report, fm = external_pipeline(parse_dump(records), labels, TWO_TREES,
+                                   SearchSpec(budget=1, folds=2, seed=1))
+    assert fm.tx_ids == [2, 3, 4, 5, 6]
+    assert report.extras["positive_rate"] == pytest.approx(2 / 7)
+    assert report.extras["unmatched_labels"] == 1
 
 
 def test_positive_rate_at_scaled_fixture():
-    # 20 positives among 1700 records, the published imbalance in miniature
-    records = [record(f"t{i}", i, 100 + i) for i in range(1700)]
+    # 20 positives among 1700 records, the published imbalance in miniature;
+    # the rate counts every record, the ring-less labelled t0 too
+    records = [record(f"t{i}", i, 100 + i, rings=[[member(f"t{i - 1}")]] if i else ())
+               for i in range(1700)]
     labels = {f"t{i}": "shapeshift" for i in range(0, 1700, 85)}
     assert len(labels) == 20
-    joined = join_labels(parse_dump(records), labels)
-    assert joined.positive_rate == pytest.approx(20 / 1700)
+    report, fm = external_pipeline(parse_dump(records), labels, TWO_TREES,
+                                   SearchSpec(budget=1, folds=2, seed=1))
+    assert len(fm.tx_ids) == 1699
+    assert report.extras["positive_rate"] == pytest.approx(20 / 1700)
+    assert report.extras["unmatched_labels"] == 0
 
 
 def test_join_no_matches_warns():
     parsed = parse_dump(FIXTURE)
     with pytest.warns(UserWarning, match="no label matched"):
-        joined = join_labels(parsed, {"zz9": "x"})
-    assert joined.y.sum() == 0
+        with pytest.raises(DegenerateLabels):
+            external_pipeline(parsed, {"zz9": "x"}, TWO_TREES,
+                              SearchSpec(budget=1, folds=2, seed=1))
 
 
 def test_load_labels_skips_blank_lines(tmp_path):

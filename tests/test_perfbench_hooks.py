@@ -15,10 +15,12 @@ import numpy as np
 
 from ringtrace import cli, economy, ledger
 from ringtrace.features import FeatureMatrix, read_feature_matrix, write_feature_matrix
+from ringtrace.ingest import parse_dump
 from ringtrace.ml import ForestHyperParams, ModelSpec, SearchSpec, tasks, train_forest
 from ringtrace.rng import Rng
 
 from test_economy import small_spec
+from test_ingest import FIXTURE
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -48,6 +50,11 @@ def test_span_counters_read_the_forest_and_the_matrix():
     assert spans._forest((X, y), model) == {"trees": 3, "nodes": 9}
     fm = FeatureMatrix(tx_ids=list(range(40)), names=("a",), raw=X)
     assert spans._rows((), fm) == {"rows": 40}
+
+
+def test_span_counters_read_the_dump():
+    # ingest.records and ingest.dangling_refs come from parse_dump's result
+    assert _load("spans")._dump((), parse_dump(FIXTURE)) == {"records": 5, "dangling": 1}
 
 
 def test_search_calls_the_traced_globals(monkeypatch):
